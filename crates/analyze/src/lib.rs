@@ -4,7 +4,7 @@
 //! Static analysis over the codec's *compiled* artifacts. `dcode-verify`
 //! proves a compiled [`XorProgram`](dcode_codec::XorProgram) computes the
 //! right bytes; this crate proves it computes them at the **cost the paper
-//! promises** — without executing a single XOR. Five passes:
+//! promises** — without executing a single XOR. Four passes:
 //!
 //! * **Op-count metrics** ([`cost`]) — XORs per data element for the
 //!   encode program, XORs per failed element across every compiled
@@ -17,11 +17,6 @@
 //!   load-balancing factor `LF` via `dcode-iosim`'s metric (so the static
 //!   numbers and the dynamic simulation are directly comparable — the
 //!   differential tests cross-check them).
-//! * **Fused-batch costs** ([`fused`]) — the bulk encoder's fused batch
-//!   programs must cost exactly `B ×` the single-stripe closed form (zero
-//!   XOR-count regression from fusing) and must not amplify any source
-//!   block's read fan-out — the static half of the bulk-throughput story
-//!   `BENCH_parallel.json` measures.
 //! * **Critical path** ([`critpath`]) — level-width analysis over the
 //!   program's dependency levels, giving a static upper bound on parallel
 //!   speedup that measured thread-scaling numbers (`BENCH_parallel.json`,
@@ -52,7 +47,6 @@ pub mod claims;
 pub mod cost;
 pub mod critpath;
 pub mod footprint;
-pub mod fused;
 pub mod optdelta;
 pub mod peephole;
 pub mod report;
@@ -66,10 +60,8 @@ pub use critpath::{critical_path, CritPath};
 pub use footprint::{
     degraded_read_footprint, encode_footprint, program_footprint, StaticFootprint,
 };
-pub use fused::{analyze_fused_encode, fused_xor_cost, FusedCost};
-pub use optdelta::{opt_delta, OptDeltaReport, OptEntry, FUSED_RECOVERY_BATCH};
+pub use optdelta::{opt_delta, OptDeltaReport, OptEntry};
 pub use peephole::{analyze_program, peephole, working_set_diagnostics, WORKING_SET_BUDGET_BYTES};
 pub use report::{
     analyze_layout, AnalysisReport, EncodeAnalysis, RecoveryAnalysis, UpdateAnalysis,
-    FUSED_ANALYSIS_BATCH,
 };

@@ -13,17 +13,12 @@
 //! tighten them — those entries only require `after ≤ before`.
 
 use crate::claims::closed_forms;
-use crate::report::FUSED_ANALYSIS_BATCH;
 use dcode_codec::opt::{optimize, CostSummary, OptCertificate, OptConfig};
-use dcode_codec::{FusedProgram, XorProgram};
+use dcode_codec::XorProgram;
 use dcode_core::decoder::plan_column_recovery;
 use dcode_core::layout::CodeLayout;
 use std::collections::BTreeSet;
 use std::fmt;
-
-/// Batch shape for the fused-recovery delta entry (distinct from the
-/// encode-side [`FUSED_ANALYSIS_BATCH`] so both shapes get exercised).
-pub const FUSED_RECOVERY_BATCH: usize = 3;
 
 /// One scope's cost-delta certificate.
 #[derive(Clone, Debug)]
@@ -190,8 +185,9 @@ const ZERO: CostSummary = CostSummary {
 
 /// Build the full opt-delta table for `layout` under the default
 /// pipeline: the encode program, every 2-column recovery program
-/// (aggregated), a sample of degraded-read subprograms (aggregated,
-/// `≤` only), and the two fused shapes the bulk path ships.
+/// (aggregated), and a sample of degraded-read subprograms (aggregated,
+/// `≤` only). Batches need no scope of their own: `run_batch` replays
+/// these same programs stripe by stripe.
 ///
 /// # Panics
 /// Like [`crate::analyze_layout`], assumes a verified-MDS layout.
@@ -223,7 +219,6 @@ pub fn opt_delta(layout: &CodeLayout) -> OptDeltaReport {
         require_zero,
     };
     let mut pairs = 0usize;
-    let mut first_plan_program = None;
     for c1 in 0..disks {
         for c2 in c1 + 1..disks {
             let plan = plan_column_recovery(layout, &[c1, c2])
@@ -235,9 +230,6 @@ pub fn opt_delta(layout: &CodeLayout) -> OptDeltaReport {
             rec.after = add(rec.after, opt.certificate.after);
             rec.equivalent &= opt.certificate.equivalent;
             pairs += 1;
-            if first_plan_program.is_none() {
-                first_plan_program = Some((prog, plan));
-            }
         }
     }
     rec.scope = format!("recovery plans ({pairs} pairs)");
@@ -270,24 +262,6 @@ pub fn opt_delta(layout: &CodeLayout) -> OptDeltaReport {
     sub.scope = format!("degraded-read subprograms ({samples} sampled)");
     entries.push(sub);
 
-    // Scopes 4–5: the fused shapes the bulk path ships. Fusion must be
-    // *exactly* batch × single — structural equivalence, zero delta —
-    // for any layout, registry or not.
-    let fused_encode = FusedProgram::fuse(&opt_encode.program, FUSED_ANALYSIS_BATCH);
-    entries.push(OptEntry::from_certificate(
-        &format!("fused encode (batch {FUSED_ANALYSIS_BATCH})"),
-        &OptCertificate::for_fusion(&opt_encode.program, &fused_encode, pipeline_fingerprint),
-        true,
-    ));
-    if let Some((prog, _plan)) = first_plan_program {
-        let fused_rec = FusedProgram::fuse(&prog, FUSED_RECOVERY_BATCH);
-        entries.push(OptEntry::from_certificate(
-            &format!("fused recovery (batch {FUSED_RECOVERY_BATCH})"),
-            &OptCertificate::for_fusion(&prog, &fused_rec, pipeline_fingerprint),
-            true,
-        ));
-    }
-
     OptDeltaReport {
         code: layout.name().to_string(),
         p: layout.prime(),
@@ -311,7 +285,7 @@ mod tests {
             for layout in all_codes(p) {
                 let report = opt_delta(&layout);
                 assert!(report.is_clean(), "{} p={p}:\n{report}", layout.name());
-                assert_eq!(report.entries.len(), 5, "{} p={p}", layout.name());
+                assert_eq!(report.entries.len(), 3, "{} p={p}", layout.name());
                 for e in &report.entries {
                     assert!(e.equivalent, "{} p={p} {}", layout.name(), e.scope);
                     if e.require_zero {

@@ -11,7 +11,6 @@ use crate::claims::{closed_forms, ClaimCheck, LoadBalance};
 use crate::cost::{encode_xors_per_data_element, program_xor_cost, update_parity_touches};
 use crate::critpath::{critical_path, CritPath};
 use crate::footprint::{degraded_read_footprint, encode_footprint, surviving_lf};
-use crate::fused::{analyze_fused_encode, FusedCost};
 use crate::peephole::analyze_program;
 use dcode_codec::{OptConfig, XorProgram};
 use dcode_core::decoder::plan_column_recovery;
@@ -72,8 +71,7 @@ pub struct AnalysisReport {
     pub disks: usize,
     /// The compiled encode program's content fingerprint
     /// ([`XorProgram::fingerprint`]: FNV-1a over grid shape + flat
-    /// arrays) — ties this report to the exact artifact it analyzed, and
-    /// is the same key the schedule cache memoizes fused programs under.
+    /// arrays) — ties this report to the exact artifact it analyzed.
     pub program_fingerprint: u64,
     /// Order-sensitive fingerprint of the optimizer pipeline in effect
     /// (the default [`OptConfig`]) — the same value the schedule cache
@@ -94,8 +92,6 @@ pub struct AnalysisReport {
     pub recovery: RecoveryAnalysis,
     /// Update-side analysis.
     pub update: UpdateAnalysis,
-    /// Fused-batch cost accounting (at [`FUSED_ANALYSIS_BATCH`] stripes).
-    pub fused: FusedCost,
     /// Average read LF over surviving disks for a full-stripe degraded
     /// read, averaged over every single failed column.
     pub degraded_avg_lf: f64,
@@ -159,11 +155,6 @@ impl AnalysisReport {
                 "\"recovery\": {{\"plans\": {plans}, ",
                 "\"xors_per_lost_element\": {xle}, \"max_levels\": {ml}}}, ",
                 "\"update\": {{\"avg\": {uavg}, \"max\": {umax}}}, ",
-                "\"fused\": {{\"batch\": {fbatch}, \"xor_cost\": {fcost}, ",
-                "\"single_xor_cost\": {fsingle}, ",
-                "\"total_source_reads\": {freads}, ",
-                "\"distinct_source_blocks\": {fblocks}, ",
-                "\"max_reads_per_block\": {fmax}}}, ",
                 "\"degraded_avg_lf\": {dlf}, ",
                 "\"claims\": [{claims}], \"diagnostics\": [{diags}], ",
                 "\"clean\": {clean}}}"
@@ -189,12 +180,6 @@ impl AnalysisReport {
             ml = self.recovery.max_levels,
             uavg = jf(self.update.avg),
             umax = self.update.max,
-            fbatch = self.fused.batch,
-            fcost = self.fused.xor_cost,
-            fsingle = self.fused.single_xor_cost,
-            freads = self.fused.total_source_reads,
-            fblocks = self.fused.distinct_source_blocks,
-            fmax = self.fused.max_reads_per_block,
             dlf = jf(self.degraded_avg_lf),
             claims = claims.join(", "),
             diags = diags.join(", "),
@@ -265,16 +250,6 @@ impl fmt::Display for AnalysisReport {
             self.update.max,
             lf_display(self.degraded_avg_lf),
         )?;
-        writeln!(
-            f,
-            "  fused:    batch {} -> {} XORs ({} single), {} reads over {} blocks, max {} reads/block",
-            self.fused.batch,
-            self.fused.xor_cost,
-            self.fused.single_xor_cost,
-            self.fused.total_source_reads,
-            self.fused.distinct_source_blocks,
-            self.fused.max_reads_per_block,
-        )?;
         for c in &self.claims {
             writeln!(f, "  claim     {c}")?;
         }
@@ -292,11 +267,6 @@ impl fmt::Display for AnalysisReport {
         )
     }
 }
-
-/// Batch shape the report's fused-cost pass uses. Any shape proves the
-/// linearity claim (the fuser is shape-uniform; the exhaustive batch grid
-/// lives in `crate::fused`'s tests).
-pub const FUSED_ANALYSIS_BATCH: usize = 4;
 
 /// Run every static pass over `layout` and check the paper's claims.
 ///
@@ -371,11 +341,6 @@ pub fn analyze_layout(layout: &CodeLayout) -> AnalysisReport {
     let (avg, max) = update_parity_touches(layout);
     let update = UpdateAnalysis { avg, max };
 
-    // Fused-batch pass: the bulk fast path's program must cost exactly
-    // batch × the single-stripe program — zero XOR-count regression from
-    // fusing — and must not amplify any block's read fan-out.
-    let fused = analyze_fused_encode(layout, FUSED_ANALYSIS_BATCH);
-
     // Degraded-read pass: average surviving-disk read LF over every
     // single failed column.
     let mut lf_sum = 0.0;
@@ -385,28 +350,10 @@ pub fn analyze_layout(layout: &CodeLayout) -> AnalysisReport {
     }
     let degraded_avg_lf = lf_sum / disks as f64;
 
-    // Claim table. The first two are artifact-vs-artifact and hold for
-    // any layout; the rest compare against the paper's closed forms.
+    // Claim table: the measurements against the paper's closed forms
+    // (empty for layouts outside the registry).
     let mut claims = Vec::new();
-    claims.push(ClaimCheck::check(
-        "fused encode XORs (batch x single)",
-        "B x single-stripe XORs",
-        (fused.batch * fused.single_xor_cost) as f64,
-        fused.xor_cost as f64,
-    ));
-    claims.push(ClaimCheck::check(
-        "fused max reads per source block",
-        "single-stripe fan-out",
-        fused.single_max_reads_per_block as f64,
-        fused.max_reads_per_block as f64,
-    ));
     if let Some(forms) = closed_forms(layout.name(), layout.prime()) {
-        claims.push(ClaimCheck::check(
-            "fused encode XORs per data element",
-            forms.encode_formula,
-            forms.encode_per_element,
-            fused.xor_cost as f64 / (fused.batch * layout.data_len()) as f64,
-        ));
         claims.push(ClaimCheck::check(
             "encode XORs per data element",
             forms.encode_formula,
@@ -474,7 +421,6 @@ pub fn analyze_layout(layout: &CodeLayout) -> AnalysisReport {
         encode,
         recovery,
         update,
-        fused,
         degraded_avg_lf,
         claims,
         diagnostics,

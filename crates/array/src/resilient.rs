@@ -35,7 +35,7 @@ use crate::journal::{
     SlotHeader,
 };
 use crate::rotation::RotationScheme;
-use dcode_codec::{CacheStats, EncodeArena, ScheduleCache, Stripe};
+use dcode_codec::{CacheStats, ScheduleCache, Stripe};
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
 use dcode_faults::{crc32, DiskBackend, DiskError};
@@ -202,9 +202,6 @@ pub struct ResilientArray<B> {
     /// every encode and degraded read replays a cached program and
     /// compiles nothing.
     schedules: ScheduleCache,
-    /// Reusable job buffers for batched multi-stripe re-encodes, so a
-    /// steady stream of spanning writes allocates no scratch vectors.
-    encode_arena: EncodeArena,
 }
 
 impl<B: DiskBackend> ResilientArray<B> {
@@ -307,7 +304,6 @@ impl<B: DiskBackend> ResilientArray<B> {
             mutation: None,
             stats: ResilientStats::default(),
             schedules: ScheduleCache::new(),
-            encode_arena: EncodeArena::new(),
         }
     }
 
@@ -860,14 +856,10 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// element `start`. Full-stripe read-modify-write: each touched
     /// stripe's data is fetched (through parity if degraded), modified,
     /// re-encoded, and written back — so writes work while degraded and
-    /// mid-rebuild. A write spanning several stripes batches the
-    /// re-encodes through [`encode_stripes_arena`] on the global worker
-    /// pool: one cached *fused* program replayed tile-major over the whole
-    /// batch, job buffers drawn from the array's own arena — which is what
-    /// lets a server batch many queued puts into one pooled encode without
-    /// steady-state allocation.
-    ///
-    /// [`encode_stripes_arena`]: dcode_codec::encode_stripes_arena
+    /// mid-rebuild. All touched stripes re-encode in one
+    /// [`XorProgram::run_batch`](dcode_codec::XorProgram::run_batch) of the
+    /// array's cached encode program: inline for a single stripe, chunked
+    /// over the global worker pool for a spanning write.
     pub fn write(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
         assert!(
             bytes.len() % self.block_size == 0,
@@ -893,35 +885,21 @@ impl<B: DiskBackend> ResilientArray<B> {
         }
 
         // Fetch-and-patch every touched stripe, then re-encode the whole
-        // batch in one pooled call, then persist. Segments are disjoint
-        // stripes, so the phases commute with the sequential order.
+        // batch in one call, then persist. Segments are disjoint stripes,
+        // so the phases commute with the sequential order.
         let mut scratches = Vec::with_capacity(segments.len());
         for &(t, within, chunk, off) in &segments {
-            let mut scratch = self.fetch_and_patch(
+            scratches.push(self.fetch_and_patch(
                 t,
                 within,
                 chunk,
                 &bytes[off * self.block_size..(off + chunk) * self.block_size],
-            )?;
-            if segments.len() == 1 {
-                // Single stripe: encode inline, skip the batching machinery.
-                self.schedules
-                    .encode_program(&self.layout)
-                    .run(&mut scratch);
-            }
-            scratches.push(scratch);
+            )?);
         }
-        if segments.len() > 1 {
-            let program = self.schedules.encode_program(&self.layout);
-            let threads = minipool::effective_parallelism(scratches.len());
-            dcode_codec::encode_stripes_arena(
-                &program,
-                &mut scratches,
-                minipool::global(),
-                threads,
-                &mut self.encode_arena,
-            );
-        }
+        let threads = minipool::effective_parallelism(scratches.len());
+        self.schedules
+            .encode_program(&self.layout)
+            .run_batch(&mut scratches, threads);
         for (&(t, within, chunk, _), scratch) in segments.iter().zip(&scratches) {
             if self.journal.is_some() {
                 self.persist_segment_journaled(t, within, chunk, scratch);

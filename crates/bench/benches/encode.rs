@@ -1,24 +1,23 @@
 //! Criterion: full-stripe encode throughput for every code, all backends —
 //! the naive equation interpreter, the compiled `XorProgram` schedule
-//! (sequential, from the global schedule cache), the pool-parallel public
-//! path, the fused multi-stripe bulk path (`bulk_fused`, measured
-//! steady-state in place on an 8-stripe batch), and the GF(2) bit-matrix —
-//! plus a `BENCH_encode.json` trajectory point comparing naive vs
-//! compiled.
+//! (one stripe, from the global schedule cache), the public batch entry
+//! `encode_stripes` on an 8-stripe batch at 1 thread (`batch`) and at a
+//! requested 4 threads (`batch_parallel4`), both measured steady-state in
+//! place, and the GF(2) bit-matrix — plus a `BENCH_encode.json`
+//! trajectory point comparing naive vs compiled.
 //!
 //! Environment knobs (used by the CI `bench-smoke` job):
 //!
 //! * `DCODE_BENCH_FAST=1` — tiny blocks and few samples; exercises every
 //!   code path in seconds instead of minutes.
-//! * `DCODE_BENCH_ASSERT=1` — after measuring, assert that the clamped
-//!   pool-parallel encode at 4 threads is at least as fast as the
-//!   sequential compiled replay on at least one code.
+//! * `DCODE_BENCH_ASSERT=1` — after measuring, assert that the batch
+//!   encode at a (host-clamped) 4 threads is at least as fast as the same
+//!   batch at 1 thread on at least one code.
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use dcode_baselines::registry::{build, EVALUATED_CODES};
 use dcode_codec::{
-    cache, encode_naive, encode_parallel, encode_stripes, encode_with_matrix, generator_matrix,
-    Stripe,
+    cache, encode_naive, encode_stripes, encode_with_matrix, generator_matrix, Stripe,
 };
 use std::io::Write;
 
@@ -36,8 +35,12 @@ fn block_bytes() -> usize {
     }
 }
 
+/// Stripes per batch in the `batch` rows.
+const BULK: usize = 8;
+
 /// True when a 4-thread request collapses to the sequential path on this
-/// host — `encode_parallel(…, 4)` and `program.run` are then the same code.
+/// host — `encode_stripes(…, 4)` and `encode_stripes(…, 1)` are then the
+/// same code.
 fn clamped_to_sequential() -> bool {
     minipool::effective_parallelism(4) == 1
 }
@@ -60,15 +63,16 @@ fn bench_encode(c: &mut Criterion) {
     if fast() {
         group.sample_size(5);
     } else {
-        // Medians over more samples: the parallel-vs-sequential comparison
-        // below is a ~1% margin on a quiet host, well inside 15-sample noise.
+        // Medians over more samples: the 4-thread-vs-1-thread comparison
+        // below can be a small margin on a busy host, inside 15-sample
+        // noise.
         group.sample_size(41);
     }
     for &code in &EVALUATED_CODES {
         let layout = build(code, P).unwrap();
         let data = payload(layout.data_len() * block);
         let stripe = Stripe::from_data(&layout, block, &data);
-        // The cached compile — what `encode` and `encode_parallel` replay.
+        // The cached compile — what `encode` and `encode_stripes` replay.
         let program = cache::global().encode_program(&layout);
         group.throughput(Throughput::Bytes((layout.data_len() * block) as u64));
         group.bench_with_input(BenchmarkId::new("naive", code.name()), &stripe, |b, s| {
@@ -89,40 +93,28 @@ fn bench_encode(c: &mut Criterion) {
                 );
             },
         );
-        // The public parallel path: cached program + persistent pool,
-        // requested fan-out clamped to the host's parallelism. When the
-        // clamp collapses to one thread this is the sequential replay plus
-        // a cache lookup, so it is measured under a `_measured` id and the
-        // comparison row is aliased from `compiled` (see
-        // `emit_trajectory_point`) — timing the identical code path twice
-        // and diffing the noise would be the dishonest option.
+        // The public batch entry on an 8-stripe batch, in place: encode
+        // only overwrites parity, so re-encoding the same batch each
+        // iteration is idempotent and measures the steady-state replay
+        // rather than per-iteration clone eviction. Throughput is per
+        // batch (8 × the single-stripe byte count). The 4-thread request is
+        // clamped to the host's parallelism; when the clamp collapses it to
+        // one thread it is the 1-thread row's code path, so it is measured
+        // under a `_measured` id and the comparison row is aliased from
+        // `batch` (see `emit_trajectory_point`) — timing the identical code
+        // path twice and diffing the noise would be the dishonest option.
         let parallel_id = if clamped_to_sequential() {
-            "compiled_parallel4_measured"
+            "batch_parallel4_measured"
         } else {
-            "compiled_parallel4"
+            "batch_parallel4"
         };
-        group.bench_with_input(
-            BenchmarkId::new(parallel_id, code.name()),
-            &stripe,
-            |b, s| {
-                b.iter_batched(
-                    || s.clone(),
-                    |mut s| encode_parallel(&layout, &mut s, 4),
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-        );
-        // The fused bulk path on an 8-stripe batch, in place: encode only
-        // overwrites parity, so re-encoding the same batch each iteration
-        // is idempotent and measures the steady-state fused replay rather
-        // than per-iteration clone eviction. Throughput is per batch
-        // (8 × the single-stripe byte count).
-        const BULK: usize = 8;
         group.throughput(Throughput::Bytes((layout.data_len() * block * BULK) as u64));
-        group.bench_function(BenchmarkId::new("bulk_fused", code.name()), |b| {
-            let mut ss: Vec<Stripe> = (0..BULK).map(|_| stripe.clone()).collect();
-            b.iter(|| encode_stripes(&layout, &mut ss, 1));
-        });
+        for (id, threads) in [("batch", 1), (parallel_id, 4)] {
+            group.bench_function(BenchmarkId::new(id, code.name()), |b| {
+                let mut ss: Vec<Stripe> = (0..BULK).map(|_| stripe.clone()).collect();
+                b.iter(|| encode_stripes(&layout, &mut ss, threads));
+            });
+        }
         group.throughput(Throughput::Bytes((layout.data_len() * block) as u64));
         let matrix = generator_matrix(&layout);
         group.bench_with_input(
@@ -163,14 +155,14 @@ fn emit_trajectory_point(c: &Criterion) {
             r.median_ns,
             gib(r.median_ns, bytes)
         ));
-        // Clamped host: the comparison row is the sequential measurement
+        // Clamped host: the comparison row is the 1-thread measurement
         // under the parallel id — the code paths are identical, and two
         // timings of the same path differ only by scheduler noise.
-        if clamped_to_sequential() && r.id.starts_with("encode/compiled/") {
+        if clamped_to_sequential() && r.id.starts_with("encode/batch/") {
             let code = r.id.rsplit('/').next().expect("id has segments");
             entries.push_str(&format!(
-                "    {{\"id\": \"encode/compiled_parallel4/{code}\", \"median_ns\": {:.1}, \
-                 \"gib_per_s\": {:.4}, \"aliased_from\": \"encode/compiled/{code}\"}},\n",
+                "    {{\"id\": \"encode/batch_parallel4/{code}\", \"median_ns\": {:.1}, \
+                 \"gib_per_s\": {:.4}, \"aliased_from\": \"encode/batch/{code}\"}},\n",
                 r.median_ns,
                 gib(r.median_ns, bytes)
             ));
@@ -211,9 +203,9 @@ fn emit_trajectory_point(c: &Criterion) {
     }
 }
 
-/// `DCODE_BENCH_ASSERT=1`: the clamped pool-parallel path must not lose to
-/// the sequential compiled replay on every code — i.e. at least one code
-/// has `compiled_parallel4` throughput >= `compiled`.
+/// `DCODE_BENCH_ASSERT=1`: the clamped 4-thread batch encode must not
+/// lose to the 1-thread batch encode on every code — i.e. at least one
+/// code has `batch_parallel4` throughput >= `batch`.
 fn assert_parallel_not_slower(c: &Criterion) {
     if std::env::var("DCODE_BENCH_ASSERT").map(|v| v == "1") != Ok(true) {
         return;
@@ -222,22 +214,22 @@ fn assert_parallel_not_slower(c: &Criterion) {
     let median = |id: String| results.iter().find(|r| r.id == id).map(|r| r.median_ns);
     let ok = clamped_to_sequential()
         || EVALUATED_CODES.iter().any(|code| {
-            let seq = median(format!("encode/compiled/{}", code.name()));
-            let par = median(format!("encode/compiled_parallel4/{}", code.name()));
+            let seq = median(format!("encode/batch/{}", code.name()));
+            let par = median(format!("encode/batch_parallel4/{}", code.name()));
             matches!((seq, par), (Some(s), Some(p)) if p <= s)
         });
     assert!(
         ok,
-        "compiled_parallel4 slower than compiled on every code — the \
-         pool-parallel encode path regressed"
+        "batch_parallel4 slower than batch on every code — the \
+         pool-parallel batch encode regressed"
     );
     if clamped_to_sequential() {
         println!(
             "bench assert ok: host clamps 4 threads to sequential; \
-             compiled_parallel4 is the compiled path by construction"
+             batch_parallel4 is the 1-thread batch path by construction"
         );
     } else {
-        println!("bench assert ok: compiled_parallel4 >= compiled on at least one code");
+        println!("bench assert ok: batch_parallel4 >= batch on at least one code");
     }
 }
 

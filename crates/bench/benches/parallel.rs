@@ -1,54 +1,51 @@
-//! Criterion: thread-scaling of the pool-parallel encode paths, emitting
-//! `BENCH_parallel.json` at the repository root.
+//! Criterion: op-major vs tile-major encode replay, and thread-scaling of
+//! the batch entry, emitting `BENCH_parallel.json` at the repository root.
 //!
-//! Three shapes are measured per code, each on a dedicated
-//! [`minipool::WorkerPool`] sized to the requested fan-out (so the pool
-//! machinery is exercised even where the host clamp would collapse the
-//! public API to sequential):
+//! Three shapes are measured per code:
 //!
-//! * `level/…/tN` — one stripe, ops of each dependency level fanned out
-//!   over N workers ([`XorProgram::run_pooled`]);
-//! * `bulk/…/tN` — the **pre-fusion** bulk path, kept measurable for
-//!   before/after: each stripe replays the single-stripe program
-//!   independently (op-major, so every source block streams from memory
-//!   once per parity equation);
-//! * `bulk_fused/…/tN` — the shipping bulk path
-//!   ([`dcode_codec::bulk::encode_stripes_pooled`]): the batch replays
-//!   one fused tile-major program, touching each source block once per
-//!   batch.
+//! * `level/…/t1` — one stripe replayed **op-major**: each op XORs its
+//!   whole source blocks before the next op starts. This is a bench-local
+//!   reference built from `XorProgram`'s public op accessors and the
+//!   `xor_many_into_unrolled` kernel, kept so the tile-major executor has a
+//!   fixed bar to clear;
+//! * `bulk/…/tN` — the same op-major replay per stripe over a batch, with
+//!   chunks of stripes fanned out over a dedicated N-worker
+//!   [`minipool::WorkerPool`]: every source block streams from memory once
+//!   per parity equation that reads it;
+//! * `batch/…/tN` — the shipping path, [`XorProgram::run_batch`]: each
+//!   stripe replays tile-major (every op over one tile before the tile
+//!   advances), so each source block streams through cache once per
+//!   stripe, and chunks of stripes fan out over the global pool.
 //!
 //! All three families measure **steady-state in-place** encode over the
 //! **same working set** — a `bulk_stripes()`-deep stripe set, cloned once
 //! per benchmark and re-encoded in place each iteration (encoding only
 //! overwrites parity cells, so re-running is idempotent). The `level`
-//! rows rotate through the set one stripe per iteration; the bulk rows
-//! encode the whole set per iteration. Keeping the working set identical
-//! matters more than it looks: the earlier clone-per-iteration scheme
-//! handed the single-stripe rows a cache-warm input (the clone *is* the
-//! warmup, and one stripe stays resident between iterations) while a
-//! 16-stripe batch evicted itself before each timed run — so level/bulk
-//! ratios measured cache capacity, not the encoder. With both families
-//! streaming the same footprint, the ratio isolates what the bulk path
-//! actually adds or removes per stripe.
+//! rows rotate through the set one stripe per iteration; the bulk and
+//! batch rows encode the whole set per iteration. Keeping the working set
+//! identical matters more than it looks: a clone-per-iteration scheme
+//! hands the single-stripe rows a cache-warm input (the clone *is* the
+//! warmup) while a 16-stripe batch evicts itself before each timed run —
+//! so the ratios would measure cache capacity, not the encoder.
 //!
 //! The JSON records `host_parallelism` alongside the medians: on a
 //! single-core host the t2/t4/t8 rows measure pool overhead, not speedup,
 //! and downstream tooling needs that context to read the numbers honestly.
 //!
 //! * `DCODE_BENCH_FAST=1` shrinks blocks and sample counts for CI smoke.
-//! * `DCODE_BENCH_ASSERT=1` asserts, per code at t1: in full mode, fused
-//!   bulk throughput is at least 90% of the `level` single-stripe
-//!   throughput — the bulk/level gap the fused path exists to close. In
-//!   fast mode that bar is structurally unreachable (a ~570 KiB stripe is
-//!   L2-resident and clocks 26-31 GiB/s; any multi-stripe batch exceeds
-//!   L2), so the smoke asserts a catastrophic-regression canary instead:
-//!   fused bulk ≥ 70% of the unfused bulk replay (70%, not ~100%,
-//!   because five samples at µs scale on a shared vCPU jitter by ±30%).
+//! * `DCODE_BENCH_ASSERT=1` asserts, per code at t1: in full mode, batch
+//!   throughput is at least 90% of the op-major `level` single-stripe
+//!   throughput. In fast mode that bar is structurally unreachable (a
+//!   ~570 KiB stripe is L2-resident and clocks 26-31 GiB/s; any
+//!   multi-stripe batch exceeds L2), so the smoke asserts a
+//!   catastrophic-regression canary instead: batch ≥ 70% of the op-major
+//!   bulk replay (70%, not ~100%, because five samples at µs scale on a
+//!   shared vCPU jitter by ±30%).
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use dcode_baselines::registry::{build, EVALUATED_CODES};
-use dcode_codec::bulk::encode_stripes_pooled;
 use dcode_codec::schedule::XorProgram;
+use dcode_codec::xor::xor_many_into_unrolled;
 use dcode_codec::{cache, Stripe};
 use minipool::WorkerPool;
 use std::io::Write;
@@ -89,40 +86,67 @@ fn payload(len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// The pre-fusion bulk path, reproduced here so the before/after rows
-/// keep measuring the same thing after the library switched to fused
-/// replay: chunk the batch across jobs, each job replaying the
-/// single-stripe program per stripe. Takes the `Vec` by mutable borrow
-/// and moves chunks through the pool (jobs need `'static` ownership),
-/// reassembling in order afterwards.
-fn encode_stripes_unfused(
+/// One stripe's blocks in linear grid-index order — the op-major
+/// reference's own storage, so it can detach a target block while reading
+/// the others.
+type Blocks = Vec<Box<[u8]>>;
+
+fn blocks_of(stripe: &Stripe) -> Blocks {
+    let grid = stripe.grid();
+    (0..grid.len())
+        .map(|i| stripe.block(grid.cell_at(i)).into())
+        .collect()
+}
+
+/// Op-major replay: each op XORs its whole source blocks into its target
+/// before the next op starts (the executor's order before it went
+/// tile-major), through the same 16 KiB-tiled kernel the op-major
+/// executor used.
+fn run_op_major(program: &XorProgram, blocks: &mut Blocks) {
+    for op in 0..program.op_count() {
+        let target = program.op_target(op);
+        let mut out = std::mem::take(&mut blocks[target]);
+        let sources: Vec<&[u8]> = program
+            .op_sources(op)
+            .iter()
+            .map(|&i| &*blocks[i as usize])
+            .collect();
+        xor_many_into_unrolled(&mut out, &sources);
+        blocks[target] = out;
+    }
+}
+
+/// The op-major bulk reference: chunk the batch across `threads` jobs of
+/// `pool`, each replaying op-major per stripe. Chunks move through the
+/// pool by ownership (jobs need `'static`) and are reassembled in order.
+fn bulk_op_major(
     program: &Arc<XorProgram>,
-    stripes: &mut Vec<Stripe>,
+    batch: &mut Vec<Blocks>,
     pool: &WorkerPool,
     threads: usize,
 ) {
-    let threads = threads.max(1).min(stripes.len().max(1));
+    let threads = threads.max(1).min(batch.len().max(1));
     if threads <= 1 {
-        for s in stripes.iter_mut() {
-            program.run(s);
+        for b in batch.iter_mut() {
+            run_op_major(program, b);
         }
         return;
     }
-    let chunk = stripes.len().div_ceil(threads);
+    let chunk = batch.len().div_ceil(threads);
     let mut jobs = Vec::with_capacity(threads);
-    let mut rest = std::mem::take(stripes);
+    let mut rest = std::mem::take(batch);
     while !rest.is_empty() {
         let tail = rest.split_off(chunk.min(rest.len()));
         let mut owned = std::mem::replace(&mut rest, tail);
         let prog = Arc::clone(program);
         jobs.push(move || {
-            for s in &mut owned {
-                prog.run(s);
+            for b in &mut owned {
+                run_op_major(&prog, b);
             }
             owned
         });
     }
-    stripes.extend(pool.run(jobs).into_iter().flatten());
+    batch.extend(pool.run(jobs).into_iter().flatten());
 }
 
 fn bench_parallel(c: &mut Criterion) {
@@ -137,35 +161,35 @@ fn bench_parallel(c: &mut Criterion) {
         let data = payload(layout.data_len() * block);
         let stripe = Stripe::from_data(&layout, block, &data);
         let batch: Vec<Stripe> = (0..bulk_stripes()).map(|_| stripe.clone()).collect();
+        let blocks: Vec<Blocks> = batch.iter().map(blocks_of).collect();
+        let stripe_bytes = (layout.data_len() * block) as u64;
+        group.throughput(Throughput::Bytes(stripe_bytes));
+        group.bench_function(
+            BenchmarkId::new(format!("level/{}", code.name()), "t1"),
+            |b| {
+                let mut set = blocks.clone();
+                let mut k = 0;
+                b.iter(|| {
+                    run_op_major(&program, &mut set[k]);
+                    k = (k + 1) % set.len();
+                });
+            },
+        );
+        group.throughput(Throughput::Bytes(stripe_bytes * batch.len() as u64));
         for &t in &THREADS {
             let pool = WorkerPool::with_workers(t);
-            group.throughput(Throughput::Bytes((layout.data_len() * block) as u64));
-            group.bench_function(
-                BenchmarkId::new(format!("level/{}", code.name()), format!("t{t}")),
-                |b| {
-                    let mut set = batch.clone();
-                    let mut k = 0;
-                    b.iter(|| {
-                        XorProgram::run_pooled(&program, &mut set[k], &pool, t);
-                        k = (k + 1) % set.len();
-                    });
-                },
-            );
-            group.throughput(Throughput::Bytes(
-                (layout.data_len() * block * batch.len()) as u64,
-            ));
             group.bench_function(
                 BenchmarkId::new(format!("bulk/{}", code.name()), format!("t{t}")),
                 |b| {
-                    let mut ss = batch.clone();
-                    b.iter(|| encode_stripes_unfused(&program, &mut ss, &pool, t));
+                    let mut set = blocks.clone();
+                    b.iter(|| bulk_op_major(&program, &mut set, &pool, t));
                 },
             );
             group.bench_function(
-                BenchmarkId::new(format!("bulk_fused/{}", code.name()), format!("t{t}")),
+                BenchmarkId::new(format!("batch/{}", code.name()), format!("t{t}")),
                 |b| {
                     let mut ss = batch.clone();
-                    b.iter(|| encode_stripes_pooled(&program, &mut ss, &pool, t));
+                    b.iter(|| program.run_batch(&mut ss, t));
                 },
             );
         }
@@ -214,14 +238,14 @@ fn emit_trajectory_point(c: &Criterion) {
     }
 }
 
-/// `DCODE_BENCH_ASSERT=1`: per code at t1, fused bulk must clear the
-/// regime-appropriate bar. Full mode: ≥ 90% of the single-stripe `level`
-/// throughput (the gap the fused tile-major path exists to close — the
-/// unfused `bulk` rows historically sat at ~half of `level`). Fast mode:
-/// ≥ 70% of the unfused bulk replay — the level bar is a cache-capacity
-/// artifact at smoke shapes (see the module docs), so CI only checks
-/// that fusing never catastrophically regresses the path it replaced.
-fn assert_fused_closes_the_gap(c: &Criterion) {
+/// `DCODE_BENCH_ASSERT=1`: per code at t1, the batch entry must clear
+/// the regime-appropriate bar. Full mode: ≥ 90% of the op-major
+/// single-stripe `level` throughput (op-major bulk replay historically sat
+/// at ~half of `level`; tile-major replay closes that gap). Fast mode:
+/// ≥ 70% of the op-major bulk replay — the level bar is a cache-capacity
+/// artifact at smoke shapes (see the module docs), so CI only checks that
+/// tile-major replay never catastrophically regresses against op-major.
+fn assert_batch_closes_the_gap(c: &Criterion) {
     if std::env::var("DCODE_BENCH_ASSERT").map(|v| v == "1") != Ok(true) {
         return;
     }
@@ -236,26 +260,26 @@ fn assert_fused_closes_the_gap(c: &Criterion) {
         })
     };
     for &code in &EVALUATED_CODES {
-        let fused = gib_of(format!("parallel/bulk_fused/{}/t1", code.name()))
-            .expect("bulk_fused t1 row was measured");
+        let batch = gib_of(format!("parallel/batch/{}/t1", code.name()))
+            .expect("batch t1 row was measured");
         let (baseline, frac, what) = if fast() {
             let bulk = gib_of(format!("parallel/bulk/{}/t1", code.name()))
                 .expect("bulk t1 row was measured");
-            (bulk, 0.7, "unfused bulk")
+            (bulk, 0.7, "op-major bulk")
         } else {
             let level = gib_of(format!("parallel/level/{}/t1", code.name()))
                 .expect("level t1 row was measured");
-            (level, 0.9, "level")
+            (level, 0.9, "op-major level")
         };
         assert!(
-            fused >= frac * baseline,
-            "{}: fused bulk {fused:.3} GiB/s < {:.0}% of {what} {baseline:.3} GiB/s — \
-             the fused bulk path regressed below the gap-closing bar",
+            batch >= frac * baseline,
+            "{}: batch {batch:.3} GiB/s < {:.0}% of {what} {baseline:.3} GiB/s — \
+             tile-major batch replay regressed below the gap-closing bar",
             code.name(),
             frac * 100.0
         );
         println!(
-            "bench assert ok: {} fused bulk {fused:.3} GiB/s >= {:.0}% of {what} {baseline:.3} GiB/s",
+            "bench assert ok: {} batch {batch:.3} GiB/s >= {:.0}% of {what} {baseline:.3} GiB/s",
             code.name(),
             frac * 100.0
         );
@@ -266,5 +290,5 @@ fn main() {
     let mut c = Criterion::default();
     bench_parallel(&mut c);
     emit_trajectory_point(&c);
-    assert_fused_closes_the_gap(&c);
+    assert_batch_closes_the_gap(&c);
 }

@@ -1,8 +1,8 @@
-//! Tile-size sweep for the fused bulk executor, at the same shape the
+//! Tile-size sweep for the tile-major executor, at the same shape the
 //! `parallel` bench measures (p = 13, 64 KiB blocks, 16-stripe batches):
-//! for every registry code, time sequential per-stripe replay (the
-//! pre-fusion bulk path) and the fused tile-major replay across a sweep
-//! of tile sizes, printing GiB/s per point. This is the measurement
+//! for every registry code, time one-thread `run_batch` replay with the
+//! process's calibrated tile and then across a sweep of explicit tile
+//! sizes, printing GiB/s per point. This is the measurement
 //! behind the calibration probe's candidate set
 //! ([`dcode_codec::tile::TILE_CANDIDATES`]) and behind the tile the
 //! committed `BENCH_parallel.json` was generated with — rerun it when
@@ -11,8 +11,8 @@
 //! Usage: `fused_tile_study [p] [block_bytes] [batch]`
 
 use dcode_baselines::registry::{build, EVALUATED_CODES};
-use dcode_codec::fused::FusedProgram;
-use dcode_codec::{Stripe, XorProgram};
+use dcode_codec::{fused_tile_bytes, Stripe, XorProgram};
+use std::sync::Arc;
 use std::time::Instant;
 
 const TILES: [usize; 6] = [
@@ -50,40 +50,44 @@ fn main() {
         .unwrap_or(64 * 1024);
     let batch: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(16);
 
-    println!("fused tile sweep: p={p} block={block} batch={batch} reps={REPS}");
+    println!(
+        "tile sweep: p={p} block={block} batch={batch} reps={REPS} calibrated={}",
+        fused_tile_bytes()
+    );
     println!(
         "{:<10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "code", "unfused", "4K", "8K", "16K", "32K", "64K", "128K"
+        "code", "calibrated", "4K", "8K", "16K", "32K", "64K", "128K"
     );
     for &code in &EVALUATED_CODES {
         let layout = build(code, p).unwrap();
-        let program = XorProgram::compile_encode(&layout);
+        let program = Arc::new(XorProgram::compile_encode(&layout));
         let data = payload(layout.data_len() * block);
         let stripe = Stripe::from_data(&layout, block, &data);
         let batch_stripes: Vec<Stripe> = (0..batch).map(|_| stripe.clone()).collect();
         let bytes = layout.data_len() * block * batch;
 
-        // Best-of-REPS sequential per-stripe replay (the pre-fusion path),
-        // in place: encode overwrites only parity, so re-running on the
-        // same batch is idempotent and measures the steady-state encode
-        // rather than the cache eviction a fresh 146 MB clone causes.
+        // Best-of-REPS replay in place: encode overwrites only parity, so
+        // re-running on the same batch is idempotent and measures the
+        // steady-state encode rather than the cache eviction a fresh
+        // 146 MB clone causes.
         let mut ss = batch_stripes.clone();
-        let mut unfused_ns = u128::MAX;
+        let mut calibrated_ns = u128::MAX;
         for _ in 0..REPS {
             let t0 = Instant::now();
-            for s in &mut ss {
-                program.run(s);
-            }
-            unfused_ns = unfused_ns.min(t0.elapsed().as_nanos());
+            program.run_batch(&mut ss, 1);
+            calibrated_ns = calibrated_ns.min(t0.elapsed().as_nanos());
         }
 
-        let fused = FusedProgram::fuse(&program, batch);
-        let mut row = format!("{:<10} {:>10.3}", code.name(), gib_per_s(bytes, unfused_ns));
+        let mut row = format!(
+            "{:<10} {:>10.3}",
+            code.name(),
+            gib_per_s(bytes, calibrated_ns)
+        );
         for &tile in &TILES {
             let mut best = u128::MAX;
             for _ in 0..REPS {
                 let t0 = Instant::now();
-                fused.run_with_tile(&mut ss, tile);
+                program.run_batch_tiled(&mut ss, 1, tile);
                 best = best.min(t0.elapsed().as_nanos());
             }
             row.push_str(&format!(" {:>9.3}", gib_per_s(bytes, best)));

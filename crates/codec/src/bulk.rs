@@ -1,80 +1,17 @@
 //! Bulk payload encoding: split a large payload into stripes and encode
-//! them through one fused, tile-major program over the persistent worker
-//! pool.
+//! them with one batch replay of the layout's cached program.
 //!
-//! Stripes are independent, so this is embarrassingly parallel — each
-//! worker job owns a disjoint chunk of the stripe vector (data-race
-//! freedom by construction, per the Rayon-style idiom the HPC guides
-//! recommend).
-//!
-//! **Pitfalls (and why this module looks the way it does):**
-//!
-//! * Earlier revisions spawned a fresh set of scoped threads *inside every
-//!   call* — thread creation plus join cost on the order of the work
-//!   itself for small batches (see `BENCH_encode.json` history). Jobs go
-//!   to the parked workers of [`minipool::global`]; stripes move into
-//!   jobs by ownership (a `mem::replace` with an allocation-free
-//!   placeholder) rather than by copy.
-//! * Replaying the per-stripe program N independent times streams every
-//!   source block from DRAM once per parity equation (~2× per block),
-//!   which capped bulk encode at roughly half of single-stripe level
-//!   throughput (BENCH_parallel.json history). Uniform batches now
-//!   compile to one [`FusedProgram`] — memoized by the
-//!   [`ScheduleCache`](crate::cache::ScheduleCache) under
-//!   `(program fingerprint, batch)` — and replay tile-major, touching
-//!   each source block once per batch.
-//! * The per-call `Vec` churn of the take/restore storage dance is gone:
-//!   job buffers come from a reusable [`EncodeArena`] (thread-local for
-//!   the convenience entry points; long-lived owners like
-//!   `ResilientArray` and the server shard workers hold their own), so
-//!   steady-state bulk encode does not allocate stripe buffers.
+//! Stripes are independent, so this is embarrassingly parallel. The work
+//! itself is [`XorProgram::run_batch`](crate::schedule::XorProgram::run_batch):
+//! chunks of stripes move by ownership into jobs on the persistent
+//! [`minipool::global`] pool, and each stripe replays tile-major, so every
+//! source block streams through cache once per stripe rather than once per
+//! parity equation that reads it. These functions only add the global
+//! schedule cache and the host-parallelism clamp.
 
 use crate::cache;
-use crate::fused::FusedProgram;
-use crate::schedule::XorProgram;
 use crate::stripe::Stripe;
-use crate::tile::fused_tile_bytes;
-use dcode_core::decoder::Unrecoverable;
 use dcode_core::layout::CodeLayout;
-use minipool::WorkerPool;
-use std::cell::RefCell;
-use std::sync::Arc;
-
-/// Reusable scratch for the bulk encoder: the per-job `Vec<Stripe>`
-/// buffers stripes are moved into while worker jobs own them. Checking a
-/// buffer out pops a recycled vector (empty, capacity intact); every
-/// buffer is recycled on the way out — including across a panicking
-/// replay — so a steady-state encode loop reuses the same allocations on
-/// every wakeup. Cheap to construct; embed one per long-lived object (as
-/// `ResilientArray` and the server shard workers do) or let the
-/// convenience entry points use the thread-local instance.
-#[derive(Default)]
-pub struct EncodeArena {
-    bufs: Vec<Vec<Stripe>>,
-}
-
-impl EncodeArena {
-    /// An empty arena (no buffers until the first encode recycles some).
-    pub fn new() -> Self {
-        EncodeArena::default()
-    }
-
-    fn checkout(&mut self) -> Vec<Stripe> {
-        self.bufs.pop().unwrap_or_default()
-    }
-
-    fn recycle(&mut self, mut buf: Vec<Stripe>) {
-        buf.clear();
-        self.bufs.push(buf);
-    }
-}
-
-thread_local! {
-    /// Arena behind the signature-stable entry points; callers that want
-    /// buffer reuse across threads own an [`EncodeArena`] and call
-    /// [`encode_stripes_arena`].
-    static THREAD_ARENA: RefCell<EncodeArena> = RefCell::new(EncodeArena::new());
-}
 
 /// Split `payload` into as many stripes as needed (tail zero-padded) and
 /// encode each. `threads = 1` runs inline; more fan out over the
@@ -103,188 +40,15 @@ pub fn encode_payload(
     stripes
 }
 
-/// Encode a slice of stripes in place, in parallel. The compiled
-/// programs (single and fused) come from the global schedule cache (no
-/// per-call compile) and jobs run on the global persistent pool (no
-/// per-call spawns). The requested `threads` is clamped to the host's
-/// available parallelism — see [`encode_stripes_pooled`] for the
-/// unclamped, explicit-pool form.
+/// Encode a slice of stripes in place. The compiled program comes from
+/// the global schedule cache (no per-call compile) and replays through
+/// [`XorProgram::run_batch`](crate::schedule::XorProgram::run_batch) on
+/// the global persistent pool (no per-call spawns). The requested
+/// `threads` is clamped to the host's available parallelism; call
+/// `run_batch` directly for an unclamped fan-out.
 pub fn encode_stripes(layout: &CodeLayout, stripes: &mut [Stripe], threads: usize) {
     let program = cache::global().encode_program(layout);
-    let threads = minipool::effective_parallelism(threads);
-    encode_stripes_pooled(&program, stripes, minipool::global(), threads);
-}
-
-/// Recover the same erased columns across a batch of stripes, in
-/// parallel, through the fused tile-major path. The compiled (and
-/// certified-optimized) column-recovery program comes from the global
-/// schedule cache, and — because [`FusedProgram`] is layout-agnostic —
-/// an N-stripe recovery batch fuses and executes exactly like a bulk
-/// encode: one stripe-major interleaved program, each surviving block
-/// streamed through cache once per batch. This is the entry point the
-/// rebuild scheduler's many-stripe decode batches use.
-///
-/// Every stripe must have storage attached with the erased columns'
-/// blocks present (their contents are ignored: recovery ops overwrite
-/// first), exactly as [`crate::decode::recover_columns`] expects.
-pub fn recover_stripes(
-    layout: &CodeLayout,
-    cols: &[usize],
-    stripes: &mut [Stripe],
-    threads: usize,
-) -> Result<(), Unrecoverable> {
-    let compiled = cache::global().column_program(layout, cols)?;
-    let threads = minipool::effective_parallelism(threads);
-    encode_stripes_pooled(&compiled.program, stripes, minipool::global(), threads);
-    Ok(())
-}
-
-/// [`encode_stripes_arena`] with the calling thread's thread-local arena —
-/// the signature-stable form for callers without a long-lived arena.
-pub fn encode_stripes_pooled(
-    program: &Arc<XorProgram>,
-    stripes: &mut [Stripe],
-    pool: &WorkerPool,
-    threads: usize,
-) {
-    THREAD_ARENA.with(|a| {
-        encode_stripes_arena(program, stripes, pool, threads, &mut a.borrow_mut());
-    });
-}
-
-/// Encode stripes with an explicit program, pool, fan-out, and scratch
-/// arena (fan-out not clamped to host parallelism — tests drive real pool
-/// fan-out with it).
-///
-/// **Fused fast path:** when every stripe matches the program's grid with
-/// storage attached (block sizes may differ — the tile loop reads each
-/// stripe's own), the batch replays through one cached [`FusedProgram`],
-/// tile-major, so each source block streams through cache exactly once
-/// per batch. Anything else — a mixed-shape batch, a degraded placeholder
-/// — falls back to the original per-stripe replay, preserving its exact
-/// semantics (including where it panics).
-///
-/// **Panic safety:** a panicking replay (a malformed stripe, a corrupted
-/// schedule) is caught *inside* the job so the job still hands its chunk
-/// back; every chunk — encoded, partially encoded, or untouched — is
-/// restored into the caller's slice (and its buffer recycled into the
-/// arena) before the first panic is re-raised. Earlier revisions
-/// propagated the panic straight through the pool, leaving the whole
-/// slice holding the zero-length placeholder stripes from the ownership
-/// swap: a caller catching the unwind (a long-lived server, a test
-/// harness) would observe silent data loss. Now the slice never holds a
-/// placeholder after this returns or unwinds; stripes of the panicking
-/// chunk may be partially encoded, which the re-raised panic reports.
-pub fn encode_stripes_arena(
-    program: &Arc<XorProgram>,
-    stripes: &mut [Stripe],
-    pool: &WorkerPool,
-    threads: usize,
-    arena: &mut EncodeArena,
-) {
-    if stripes.is_empty() {
-        return;
-    }
-    let threads = threads.max(1);
-    let uniform = stripes
-        .iter()
-        .all(|s| s.grid() == program.grid() && s.has_storage());
-    if uniform {
-        let fused = cache::global().fused_program(program, stripes.len());
-        let tile = fused_tile_bytes();
-        if threads == 1 || stripes.len() == 1 {
-            fused.run_with_tile(stripes, tile);
-            return;
-        }
-        let workers = threads.min(stripes.len());
-        run_chunked(
-            BatchProgram::Fused(fused, tile),
-            stripes,
-            pool,
-            workers,
-            arena,
-        );
-        return;
-    }
-    if threads == 1 || stripes.len() <= 1 {
-        for s in stripes.iter_mut() {
-            program.run(s);
-        }
-        return;
-    }
-    let workers = threads.min(stripes.len());
-    run_chunked(
-        BatchProgram::PerStripe(Arc::clone(program)),
-        stripes,
-        pool,
-        workers,
-        arena,
-    );
-}
-
-/// What a worker job replays over its owned chunk.
-#[derive(Clone)]
-enum BatchProgram {
-    /// Tile-major fused replay; the chunk is the batch range starting at
-    /// the job's first stripe index.
-    Fused(Arc<FusedProgram>, usize),
-    /// The original per-stripe replay (mixed-shape fallback).
-    PerStripe(Arc<XorProgram>),
-}
-
-/// Chunk `stripes` across `workers` pool jobs by ownership and replay
-/// `prog` over each chunk, with the panic-restore contract described on
-/// [`encode_stripes_arena`].
-fn run_chunked(
-    prog: BatchProgram,
-    stripes: &mut [Stripe],
-    pool: &WorkerPool,
-    workers: usize,
-    arena: &mut EncodeArena,
-) {
-    let chunk = stripes.len().div_ceil(workers);
-    let mut jobs = Vec::with_capacity(workers);
-    for (k, part) in stripes.chunks_mut(chunk).enumerate() {
-        // Move the chunk's stripes into the job (placeholder swap: no
-        // block is copied or reallocated; the Vec itself is a recycled
-        // arena buffer); the job returns them encoded.
-        let mut owned = arena.checkout();
-        owned.extend(
-            part.iter_mut()
-                .map(|s| std::mem::replace(s, Stripe::placeholder(s.grid(), s.block_size()))),
-        );
-        let prog = prog.clone();
-        let first = k * chunk;
-        jobs.push(move || {
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &prog {
-                BatchProgram::Fused(fused, tile) => {
-                    fused.run_range_with_tile(&mut owned, first, *tile);
-                }
-                BatchProgram::PerStripe(single) => {
-                    for s in &mut owned {
-                        single.run(s);
-                    }
-                }
-            }))
-            .err();
-            (owned, panic)
-        });
-    }
-    let done = pool.run(jobs);
-    let mut first_panic = None;
-    let mut slots = stripes.iter_mut();
-    for (mut chunk, panic) in done {
-        for encoded in chunk.drain(..) {
-            *slots.next().expect("chunks cover the slice") = encoded;
-        }
-        arena.recycle(chunk);
-        if first_panic.is_none() {
-            first_panic = panic;
-        }
-    }
-    if let Some(payload) = first_panic {
-        std::panic::resume_unwind(payload);
-    }
+    program.run_batch(stripes, minipool::effective_parallelism(threads));
 }
 
 /// Reassemble the payload from encoded stripes (inverse of
@@ -301,8 +65,7 @@ pub fn payload_of(layout: &CodeLayout, stripes: &[Stripe], payload_len: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::verify_parities;
-    use dcode_baselines::registry::all_codes;
+    use crate::encode::{encode_naive, verify_parities};
     use dcode_core::dcode::dcode;
 
     fn payload(len: usize) -> Vec<u8> {
@@ -326,186 +89,24 @@ mod tests {
     }
 
     #[test]
-    fn pooled_fan_out_matches_sequential() {
-        // Drive the pool with real multi-worker fan-out regardless of the
-        // host's core count (encode_stripes clamps; this entry point does
-        // not).
+    fn encode_stripes_matches_the_naive_oracle() {
         let layout = dcode(7).unwrap();
-        let data = payload(layout.data_len() * 32 * 7 + 5);
-        let seq = encode_payload(&layout, 32, &data, 1);
-        let pool = minipool::WorkerPool::with_workers(4);
-        let program = Arc::new(XorProgram::compile_encode(&layout));
-        for threads in [2usize, 4, 16] {
-            let mut stripes: Vec<Stripe> = data
-                .chunks(layout.data_len() * 32)
+        let per = layout.data_len() * 32;
+        let data = payload(per * 7 + 5);
+        let fresh = || -> Vec<Stripe> {
+            data.chunks(per)
                 .map(|c| Stripe::from_data(&layout, 32, c))
-                .collect();
-            encode_stripes_pooled(&program, &mut stripes, &pool, threads);
-            assert_eq!(stripes, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn arena_buffers_are_recycled_across_calls() {
-        let layout = dcode(5).unwrap();
-        let pool = minipool::WorkerPool::with_workers(4);
-        let program = Arc::new(XorProgram::compile_encode(&layout));
-        let mut arena = EncodeArena::new();
-        let per = layout.data_len() * 16;
-        let data = payload(per * 8);
-        let encode_once = |arena: &mut EncodeArena| {
-            let mut stripes: Vec<Stripe> = data
-                .chunks(per)
-                .map(|c| Stripe::from_data(&layout, 16, c))
-                .collect();
-            encode_stripes_arena(&program, &mut stripes, &pool, 4, arena);
-            assert!(stripes.iter().all(|s| verify_parities(&layout, s)));
+                .collect()
         };
-        encode_once(&mut arena);
-        let bufs_after_first = arena.bufs.len();
-        let caps: Vec<usize> = arena.bufs.iter().map(Vec::capacity).collect();
-        assert!(bufs_after_first >= 4, "every job buffer must be recycled");
-        encode_once(&mut arena);
-        assert_eq!(
-            arena.bufs.len(),
-            bufs_after_first,
-            "steady state must reuse, not mint, buffers"
-        );
-        let caps_again: Vec<usize> = arena.bufs.iter().map(Vec::capacity).collect();
-        assert_eq!(caps, caps_again, "buffer capacities must round-trip");
-    }
-
-    #[test]
-    fn panicking_job_restores_stripes_instead_of_placeholders() {
-        use dcode_core::grid::Cell;
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-
-        // Regression: a panic inside a pooled encode job used to propagate
-        // before the write-back loop ran, leaving *every* stripe in the
-        // caller's slice as the zero-length placeholder from the ownership
-        // swap — silent data loss for any caller catching the unwind.
-        let layout = dcode(7).unwrap();
-        let program = Arc::new(XorProgram::compile_encode(&layout));
-        let pool = minipool::WorkerPool::with_workers(4);
-        let per = layout.data_len() * 16;
-        let data = payload(per * 8);
-        let mut stripes: Vec<Stripe> = data
-            .chunks(per)
-            .map(|c| Stripe::from_data(&layout, 16, c))
-            .collect();
-        // Poison one stripe with a smaller code's shape: the batch is no
-        // longer uniform (no fused path), and the compiled program indexes
-        // blocks past the poison stripe's grid and panics mid-chunk.
-        let poison = 5;
-        let small = dcode(5).unwrap();
-        stripes[poison] = Stripe::zeroed(&small, 16);
-
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            encode_stripes_pooled(&program, &mut stripes, &pool, 4);
-        }));
-        assert!(caught.is_err(), "the poison stripe must panic the replay");
-
-        // Every healthy stripe was restored with its data intact — and
-        // since only one job panicked, fully encoded as well.
-        for (i, s) in stripes.iter().enumerate() {
-            if i == poison {
-                continue;
-            }
-            assert_eq!(
-                s.data_bytes(&layout),
-                &data[i * per..(i + 1) * per],
-                "stripe {i} lost data across the unwind"
-            );
-            assert!(verify_parities(&layout, s), "stripe {i} not encoded");
-        }
-        // The poison stripe came back too (its own shape, storage present,
-        // possibly partially encoded) — not a zero-length placeholder.
-        assert_eq!(stripes[poison].grid(), small.grid());
-        assert_eq!(stripes[poison].block_size(), 16);
-        let probe = catch_unwind(AssertUnwindSafe(|| {
-            stripes[poison].snapshot(Cell::new(0, 0)).len()
-        }));
-        assert!(probe.is_ok(), "poison stripe left as a placeholder");
-
-        // The pool and the healthy stripes are reusable after the unwind.
-        let mut again: Vec<Stripe> = data
-            .chunks(per)
-            .map(|c| Stripe::from_data(&layout, 16, c))
-            .collect();
-        encode_stripes_pooled(&program, &mut again, &pool, 4);
-        assert!(again.iter().all(|s| verify_parities(&layout, s)));
-    }
-
-    #[test]
-    fn mixed_shape_batch_takes_the_unfused_path_and_stays_correct() {
-        // Two codes' stripes in one slice, encoded with the program of the
-        // *shared-prime* layout they all actually match — here, a batch
-        // where one stripe's storage is detached (a degraded placeholder):
-        // the fused path must be skipped, not panic.
-        let layout = dcode(5).unwrap();
-        let pool = minipool::WorkerPool::with_workers(2);
-        let program = Arc::new(XorProgram::compile_encode(&layout));
-        let per = layout.data_len() * 8;
-        let data = payload(per * 3);
-        let mut stripes: Vec<Stripe> = data
-            .chunks(per)
-            .map(|c| Stripe::from_data(&layout, 8, c))
-            .collect();
-        // Encode the healthy batch first for the expectation.
-        let mut expect = stripes.clone();
+        let mut expect = fresh();
         for s in &mut expect {
-            program.run(s);
+            encode_naive(&layout, s);
         }
-        // A placeholder in the slice forces the fallback; encoding it
-        // panics (no storage), but the healthy stripes still come back.
-        stripes.push(Stripe::placeholder(layout.grid(), 8));
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            encode_stripes_pooled(&program, &mut stripes, &pool, 2);
-        }));
-        assert!(caught.is_err(), "placeholder replay must panic");
-        assert_eq!(&stripes[..3], &expect[..], "healthy stripes lost");
-    }
-
-    #[test]
-    fn recover_stripes_matches_per_stripe_recovery() {
-        use crate::decode::recover_columns;
-
-        for p in [5usize, 7] {
-            for layout in all_codes(p) {
-                let cols = [0usize, 2];
-                if dcode_core::decoder::plan_column_recovery(&layout, &cols).is_err() {
-                    continue;
-                }
-                let per = layout.data_len() * 8;
-                let data = payload(per * 6);
-                let mut stripes: Vec<Stripe> = data
-                    .chunks(per)
-                    .map(|c| Stripe::from_data(&layout, 8, c))
-                    .collect();
-                encode_stripes(&layout, &mut stripes, 1);
-                let golden = stripes.clone();
-                // Per-stripe oracle.
-                let mut expect = stripes.clone();
-                for s in &mut expect {
-                    s.erase_columns(&cols);
-                    recover_columns(&layout, s, &cols).unwrap();
-                }
-                // Fused batch recovery.
-                for s in &mut stripes {
-                    s.erase_columns(&cols);
-                }
-                recover_stripes(&layout, &cols, &mut stripes, 4).unwrap();
-                assert_eq!(stripes, expect, "{} p={p}", layout.name());
-                assert_eq!(stripes, golden, "{} p={p} full roundtrip", layout.name());
-            }
+        for threads in [1usize, 2, 4, 16] {
+            let mut stripes = fresh();
+            encode_stripes(&layout, &mut stripes, threads);
+            assert_eq!(stripes, expect, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn recover_stripes_rejects_unrecoverable_erasures() {
-        let layout = dcode(5).unwrap();
-        let mut stripes = vec![Stripe::zeroed(&layout, 8)];
-        assert!(recover_stripes(&layout, &[0, 1, 2], &mut stripes, 2).is_err());
     }
 
     #[test]

@@ -42,10 +42,9 @@
 //! stale entries are not evicted, they simply stop matching — switching
 //! back to a previous pipeline re-hits its old entries. The pipeline
 //! config lives behind its own named mutex (`codec.cache.optcfg`) that
-//! is released before `entries`/`fused` are taken, so the lock-order
-//! discipline model-checked by `dcode-race` is unchanged.
+//! is released before `entries` is taken, so the lock-order discipline
+//! model-checked by `dcode-race` is unchanged.
 
-use crate::fused::FusedProgram;
 use crate::opt::{optimize, OptCertificate, OptConfig};
 use crate::schedule::XorProgram;
 use dcode_core::decoder::{plan_recovery, RecoveryPlan, Unrecoverable};
@@ -63,15 +62,6 @@ use std::sync::{Arc, OnceLock};
 /// returned uncached (correct, just not memoized).
 pub const MAX_SUBPROGRAMS_PER_ERASURE: usize = 64;
 
-/// Upper bound on distinct fused batch shapes cached per underlying
-/// program. Bulk encode batches cluster on a handful of sizes (the
-/// server's queue-drain batch, the CLI's stripe count, the bench's 16),
-/// but a caller feeding arbitrary batch sizes could mint one fused
-/// program per size; past the cap the fusion is compiled and returned
-/// uncached (correct — fusing is linear in the output — just not
-/// memoized), mirroring [`MAX_SUBPROGRAMS_PER_ERASURE`].
-pub const MAX_FUSED_SHAPES_PER_PROGRAM: usize = 8;
-
 /// Hit/miss counters for one [`ScheduleCache`]. A "hit" is a lookup served
 /// entirely from memoized state; a "miss" compiled something.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -87,8 +77,8 @@ pub struct CacheStats {
 /// surviving cells the program reads (the disk-read footprint).
 #[derive(Clone, Debug)]
 pub struct CompiledRecovery {
-    /// The lowered XOR program; replay with [`XorProgram::run`] or the
-    /// pooled executor.
+    /// The lowered XOR program; replay with [`XorProgram::run`] or, over
+    /// many stripes, [`XorProgram::run_batch`].
     pub program: Arc<XorProgram>,
     /// The symbolic plan the program was compiled from.
     pub plan: Arc<RecoveryPlan>,
@@ -129,18 +119,6 @@ struct LayoutEntry {
     erasures: Vec<ErasureEntry>,
 }
 
-/// One memoized fused batch program, keyed by the *program* content
-/// fingerprint (not the layout's): `encode_stripes_pooled` receives a bare
-/// `Arc<XorProgram>` and must find its fusion without the layout in hand.
-struct FusedEntry {
-    fingerprint: u64,
-    grid: Grid,
-    opt_fp: u64,
-    batch: usize,
-    program: Arc<FusedProgram>,
-    certificate: Arc<OptCertificate>,
-}
-
 /// Memoized compiled schedules; see the module docs. Cheap to construct —
 /// embed one per long-lived object (as `ResilientArray` does) or share the
 /// process-wide [`global`] instance.
@@ -150,15 +128,9 @@ struct FusedEntry {
 /// compile-outside-lock race-adopt protocol on the same code.
 pub struct ScheduleCache {
     entries: Mutex<Vec<LayoutEntry>>,
-    /// Fused batch programs, keyed by `(program fingerprint, grid,
-    /// pipeline fingerprint, batch)`. A separate short vector (and lock)
-    /// from `entries`: the key space is program identity, not layout
-    /// identity, and the bulk path should never contend with
-    /// recovery-plan lookups.
-    fused: Mutex<Vec<FusedEntry>>,
     /// The optimizer pipeline every compile miss runs. Read (and the
-    /// guard dropped) *before* `entries`/`fused` are locked — the three
-    /// locks never nest, keeping the race-checked lock discipline flat.
+    /// guard dropped) *before* `entries` is locked — the two locks never
+    /// nest, keeping the race-checked lock discipline flat.
     opt: Mutex<Arc<OptConfig>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -175,7 +147,6 @@ impl ScheduleCache {
     pub fn new() -> Self {
         ScheduleCache {
             entries: Mutex::named("codec.cache.entries", Vec::new()),
-            fused: Mutex::named("codec.cache.fused", Vec::new()),
             opt: Mutex::named("codec.cache.optcfg", Arc::new(OptConfig::default())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -398,83 +369,12 @@ impl ScheduleCache {
         Ok(plan)
     }
 
-    /// The fused batch program replaying `single` over `batch` stripes at
-    /// once, memoized by `(program fingerprint, grid, batch)`. Follows the
-    /// cache's compile-outside-lock protocol: a miss fuses without holding
-    /// the lock and the loser of an insert race adopts the winner's entry,
-    /// so steady-state bulk encodes get pointer-identical programs
-    /// ([`Arc::ptr_eq`]) and a hit allocates nothing. Past
-    /// [`MAX_FUSED_SHAPES_PER_PROGRAM`] distinct batch sizes per program,
-    /// the fusion is returned uncached.
-    pub fn fused_program(&self, single: &Arc<XorProgram>, batch: usize) -> Arc<FusedProgram> {
-        self.fused_program_certified(single, batch).0
-    }
-
-    /// [`ScheduleCache::fused_program`] together with its certificate:
-    /// `before` is the single-stripe cost × batch, `after` the fused
-    /// measurement, and equivalence is discharged structurally (the
-    /// fusion must be exactly `batch` shifted copies of `single`).
-    pub fn fused_program_certified(
-        &self,
-        single: &Arc<XorProgram>,
-        batch: usize,
-    ) -> (Arc<FusedProgram>, Arc<OptCertificate>) {
-        let opt_fp = self.pipeline().fingerprint();
-        let (fp, grid) = (single.fingerprint(), single.grid());
-        {
-            let entries = self.lock_fused();
-            if let Some(e) = find_fused(&entries, fp, grid, opt_fp, batch) {
-                Self::bump(&self.hits);
-                return (e.program.clone(), e.certificate.clone());
-            }
-        }
-        Self::bump(&self.misses);
-        let fused = FusedProgram::fuse(single, batch);
-        let certificate = Arc::new(OptCertificate::for_fusion(single, &fused, opt_fp));
-        let compiled = Arc::new(fused);
-        let mut entries = self.lock_fused();
-        if let Some(e) = find_fused(&entries, fp, grid, opt_fp, batch) {
-            return (e.program.clone(), e.certificate.clone()); // lost an insert race; adopt
-        }
-        let shapes = entries
-            .iter()
-            .filter(|e| e.fingerprint == fp && e.grid == grid && e.opt_fp == opt_fp)
-            .count();
-        if shapes < MAX_FUSED_SHAPES_PER_PROGRAM {
-            entries.push(FusedEntry {
-                fingerprint: fp,
-                grid,
-                opt_fp,
-                batch,
-                program: compiled.clone(),
-                certificate: certificate.clone(),
-            });
-        }
-        (compiled, certificate)
-    }
-
-    /// Convenience: the fused form of `layout`'s encode program for a
-    /// `batch`-stripe bulk encode (one lookup for the single program, one
-    /// for the fusion — both steady-state hits).
-    pub fn fused_encode_program(&self, layout: &CodeLayout, batch: usize) -> Arc<FusedProgram> {
-        let single = self.encode_program(layout);
-        self.fused_program(&single, batch)
-    }
-
     fn lock(&self) -> MutexGuard<'_, Vec<LayoutEntry>> {
         // The lock is only ever held for lookups and inserts — never across
         // compilation or user code — so a poisoned mutex is unreachable
         // without a panic inside `Vec`/`Arc` themselves. Recover the guard
         // rather than poisoning every future encode on the array.
         match self.entries.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn lock_fused(&self) -> MutexGuard<'_, Vec<FusedEntry>> {
-        // Same reasoning as `lock`: held only for lookups and inserts.
-        match self.fused.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -493,18 +393,6 @@ pub fn global() -> &'static ScheduleCache {
 /// `dcode status` command surfaces.
 pub fn schedule_stats() -> CacheStats {
     global().stats()
-}
-
-fn find_fused(
-    entries: &[FusedEntry],
-    fp: u64,
-    grid: Grid,
-    opt_fp: u64,
-    batch: usize,
-) -> Option<&FusedEntry> {
-    entries
-        .iter()
-        .find(|e| e.fingerprint == fp && e.grid == grid && e.opt_fp == opt_fp && e.batch == batch)
 }
 
 fn find_layout(entries: &[LayoutEntry], fp: u64, grid: Grid, opt_fp: u64) -> Option<&LayoutEntry> {
@@ -736,45 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_program_steady_state_is_pointer_identical() {
-        let cache = ScheduleCache::new();
-        let layout = dcode(7).unwrap();
-        let a = cache.fused_encode_program(&layout, 4);
-        let hits_before = cache.stats().hits;
-        let b = cache.fused_encode_program(&layout, 4);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must not re-fuse");
-        assert!(cache.stats().hits >= hits_before + 2); // single + fused hit
-                                                        // A different batch shape is a different program...
-        let c = cache.fused_encode_program(&layout, 8);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.batch(), 8);
-        // ...and the cached fusion equals a from-scratch fuse.
-        let single = cache.encode_program(&layout);
-        assert_eq!(*a, FusedProgram::fuse(&single, 4));
-    }
-
-    #[test]
-    fn fused_shape_cap_still_returns_correct_programs() {
-        let cache = ScheduleCache::new();
-        let layout = dcode(5).unwrap();
-        let single = cache.encode_program(&layout);
-        for batch in 1..=(MAX_FUSED_SHAPES_PER_PROGRAM + 3) {
-            let fused = cache.fused_program(&single, batch);
-            assert_eq!(fused.batch(), batch);
-            assert_eq!(fused.op_count(), single.op_count() * batch);
-        }
-        // Shapes past the cap are compiled fresh each call (uncached) but
-        // stay equal; cached shapes stay pointer-identical.
-        let cached = cache.fused_program(&single, 1);
-        assert!(Arc::ptr_eq(&cached, &cache.fused_program(&single, 1)));
-        let over = MAX_FUSED_SHAPES_PER_PROGRAM + 2;
-        let x = cache.fused_program(&single, over);
-        let y = cache.fused_program(&single, over);
-        assert!(!Arc::ptr_eq(&x, &y), "past the cap nothing is memoized");
-        assert_eq!(*x, *y);
-    }
-
-    #[test]
     fn global_cache_is_shared() {
         let a = global().encode_program(&dcode(5).unwrap());
         let b = global().encode_program(&dcode(5).unwrap());
@@ -806,15 +655,6 @@ mod tests {
                 .recovery_subprogram(&layout, [0usize, 1].iter().copied(), &missing)
                 .unwrap();
             assert!(sub.certificate.holds(), "{} subprogram", layout.name());
-            let single = cache.encode_program(&layout);
-            let (_, fused_cert) = cache.fused_program_certified(&single, 4);
-            assert!(fused_cert.holds(), "{} fused", layout.name());
-            assert!(
-                fused_cert.zero_delta(),
-                "{} fused must be delta 0",
-                layout.name()
-            );
-            assert_eq!(fused_cert.batch, 4);
         }
     }
 

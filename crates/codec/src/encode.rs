@@ -7,13 +7,11 @@
 //! encode of a layout pays the compile; every later call is a cache hit.
 //! [`encode_naive`] keeps the original interpreter (walk `encode_order`,
 //! accumulate each equation into a fresh buffer) as the differential-test
-//! oracle: the two are byte-identical. [`encode_parallel`] replays the
-//! same cached program over the persistent worker pool, fanning each
-//! dependency level out over detached target blocks — data-race freedom
-//! by construction, no thread spawned per call.
+//! oracle: the two are byte-identical. Many stripes at once go through
+//! [`encode_stripes`](crate::bulk::encode_stripes), which replays the same
+//! cached program over the persistent worker pool.
 
 use crate::cache;
-use crate::schedule::XorProgram;
 use crate::stripe::Stripe;
 use crate::xor::{xor_gather_into, xor_into};
 use dcode_core::layout::CodeLayout;
@@ -36,32 +34,6 @@ pub fn encode_naive(layout: &CodeLayout, stripe: &mut Stripe) {
         }
         stripe.block_mut(eq.parity).copy_from_slice(&acc);
     }
-}
-
-/// Group equation indices into dependency levels: an equation whose members
-/// include a parity of level `k` lands in level `k+1` or later.
-///
-/// Thin wrapper over [`CodeLayout::dependency_levels`], where the logic now
-/// lives (the schedule compiler in `dcode-core`-adjacent layers needs it
-/// too); kept here for API continuity.
-pub fn dependency_levels(layout: &CodeLayout) -> Vec<Vec<usize>> {
-    layout.dependency_levels()
-}
-
-/// Compute every parity block with up to `threads` worker threads by
-/// replaying the cached compiled schedule level-by-level over the
-/// process-wide persistent pool.
-///
-/// Produces byte-identical results to [`encode`]. The program is fetched
-/// from the global [`cache`] (compiled once per layout, ever) and the
-/// requested fan-out is clamped to the host's available parallelism —
-/// asking for 8 threads on a 2-core box runs 2 wide, and on a single-core
-/// host this takes the sequential path outright (fan-out beyond the
-/// hardware is pure synchronization overhead).
-pub fn encode_parallel(layout: &CodeLayout, stripe: &mut Stripe, threads: usize) {
-    let program = cache::global().encode_program(layout);
-    let threads = minipool::effective_parallelism(threads);
-    XorProgram::run_pooled(&program, stripe, minipool::global(), threads);
 }
 
 /// Evaluate one equation into a fresh buffer (read-only stripe access).
@@ -130,55 +102,49 @@ mod tests {
     }
 
     #[test]
-    fn parallel_encode_matches_sequential() {
+    fn batch_encode_matches_single_stripe_encode() {
         for p in [5usize, 7, 11] {
             for layout in all_codes(p) {
-                let payload = pseudo_random_payload(layout.data_len() * 64, 42 + p as u64);
-                let base = Stripe::from_data(&layout, 64, &payload);
+                let payload = pseudo_random_payload(layout.data_len() * 64 * 3, 42 + p as u64);
+                let base: Vec<Stripe> = payload
+                    .chunks(layout.data_len() * 64)
+                    .map(|c| Stripe::from_data(&layout, 64, c))
+                    .collect();
                 let mut seq = base.clone();
-                encode(&layout, &mut seq);
+                for s in &mut seq {
+                    encode(&layout, s);
+                }
                 for threads in [1usize, 2, 4, 8] {
-                    let mut s = base.clone();
-                    encode_parallel(&layout, &mut s, threads);
-                    assert_eq!(s, seq, "{} threads={threads}", layout.name());
+                    let mut batch = base.clone();
+                    crate::bulk::encode_stripes(&layout, &mut batch, threads);
+                    assert_eq!(batch, seq, "{} threads={threads}", layout.name());
                 }
             }
         }
     }
 
     #[test]
-    fn parallel_encode_never_recompiles_in_steady_state() {
+    fn encode_entry_points_never_recompile_in_steady_state() {
         // Regression test for the per-call `compile_encode` this module
         // used to do: after a warm-up call, repeated encodes must be pure
         // cache hits (miss counter frozen for this thread's calls would be
         // racy under parallel tests, so the deterministic proof is pointer
         // identity — the cache hands back the same Arc'd program, and
-        // `encode_parallel` routes through that cache).
+        // both entry points route through that cache).
         use std::sync::Arc;
         let layout = dcode(7).unwrap();
-        let mut s = Stripe::zeroed(&layout, 16);
-        encode_parallel(&layout, &mut s, 4); // warm: compiles at most once
+        let mut batch = vec![Stripe::zeroed(&layout, 16), Stripe::zeroed(&layout, 16)];
+        crate::bulk::encode_stripes(&layout, &mut batch, 4); // warm: compiles at most once
         let a = cache::global().encode_program(&layout);
         let hits_before = cache::global().stats().hits;
-        encode_parallel(&layout, &mut s, 4);
-        encode(&layout, &mut s);
+        crate::bulk::encode_stripes(&layout, &mut batch, 4);
+        encode(&layout, &mut batch[0]);
         let b = cache::global().encode_program(&layout);
         assert!(Arc::ptr_eq(&a, &b), "steady-state encode recompiled");
         assert!(
             cache::global().stats().hits >= hits_before + 3,
             "encode paths bypassed the schedule cache"
         );
-    }
-
-    #[test]
-    fn dependency_levels_respect_rdp_cascade() {
-        let rdp = dcode_baselines::rdp::rdp(7).unwrap();
-        let levels = dependency_levels(&rdp);
-        // RDP needs (at least) two levels: row parities then diagonals.
-        assert!(levels.len() >= 2);
-        // D-Code's parities are independent: single level.
-        let d = dcode(7).unwrap();
-        assert_eq!(dependency_levels(&d).len(), 1);
     }
 
     #[test]

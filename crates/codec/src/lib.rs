@@ -8,21 +8,23 @@
 //! * [`xor`] — `u64`-lane XOR kernels with set-form (overwrite) and up to
 //!   8-wide fold tiers;
 //! * [`stripe`] — in-memory stripe storage ([`Stripe`]);
-//! * [`mod@encode`] — sequential and pool-parallel full-stripe encoding,
-//!   plus the `verify_parities` consistency check;
-//! * [`schedule`] — the plan compiler: layouts and recovery plans lower to
-//!   flat [`XorProgram`]s (contiguous index arrays, dependency levels, no
-//!   per-op allocation) that [`mod@encode`] and [`decode`] replay;
-//! * [`fused`] — the batch compiler: a single-stripe [`XorProgram`] and a
-//!   batch size fuse into one [`FusedProgram`] over the batch's virtual
-//!   block space, replayed tile-major so each source block streams
-//!   through cache once per batch (the bulk-encode fast path);
-//! * [`tile`] — runtime tile-size selection for the fused executor
+//! * [`mod@encode`] — full-stripe encoding ([`encode`] and the
+//!   [`encode_naive`] test oracle), plus the `verify_parities` consistency
+//!   check;
+//! * [`bulk`] — many stripes at once: [`encode_stripes`] and the
+//!   payload-level [`encode_payload`] / [`payload_of`];
+//! * [`schedule`] — the plan compiler and its one executor: layouts and
+//!   recovery plans lower to flat [`XorProgram`]s (contiguous index
+//!   arrays, dependency levels, no per-op allocation).
+//!   [`XorProgram::run`] replays one stripe tile-major, so each source
+//!   block's tile is fetched once per stripe, and
+//!   [`XorProgram::run_batch`] replays many stripes over the persistent
+//!   worker pool;
+//! * [`tile`] — runtime tile-size selection for the executor
 //!   (`DCODE_TILE_BYTES` override or a one-shot calibration probe);
-//! * [`cache`] — the [`ScheduleCache`]: memoized compiled programs,
-//!   recovery subprograms, and fused batch programs keyed by layout /
-//!   program fingerprint, so steady-state encode/recover paths never
-//!   recompile;
+//! * [`cache`] — the [`ScheduleCache`]: memoized compiled programs and
+//!   recovery subprograms keyed by layout fingerprint, so steady-state
+//!   encode/recover paths never recompile;
 //! * [`decode`] — replay of symbolic [`dcode_core::decoder::RecoveryPlan`]s
 //!   over real blocks;
 //! * [`update`] — read-modify-write partial-stripe writes with cascading
@@ -54,7 +56,6 @@ pub mod bulk;
 pub mod cache;
 pub mod decode;
 pub mod encode;
-pub mod fused;
 pub mod gf256;
 pub mod opt;
 pub mod rs;
@@ -65,14 +66,10 @@ pub mod update;
 pub mod xor;
 
 pub use bitmatrix::{encode_with_matrix, generator_matrix, BitMatrix};
-pub use bulk::{
-    encode_payload, encode_stripes, encode_stripes_arena, encode_stripes_pooled, payload_of,
-    recover_stripes, EncodeArena,
-};
+pub use bulk::{encode_payload, encode_stripes, payload_of};
 pub use cache::{schedule_stats, CacheStats, CompiledRecovery, ScheduleCache};
 pub use decode::{apply_plan, apply_plan_naive, recover_columns};
-pub use encode::{encode, encode_naive, encode_parallel, verify_parities};
-pub use fused::FusedProgram;
+pub use encode::{encode, encode_naive, verify_parities};
 pub use opt::{optimize, CostSummary, OptCertificate, OptConfig, OptPass, Optimized, PassRun};
 pub use schedule::XorProgram;
 pub use stripe::Stripe;

@@ -10,19 +10,27 @@
 //! no per-equation `Vec`, and allocates nothing per operation: the target
 //! block itself is detached from the stripe (`std::mem::take` on a
 //! `Box<[u8]>` is allocation-free) and used as the accumulator, while
-//! sources are gathered straight out of the stripe through the tiled
-//! multi-source kernel in [`crate::xor`].
+//! sources are gathered straight out of the stripe through the
+//! multi-source tile kernel in [`crate::xor`].
+//!
+//! There is one executor. [`XorProgram::run`] replays a program over one
+//! stripe tile-major (tile → op), and [`XorProgram::run_batch`] is a loop
+//! of `run` over many stripes, fanned out in chunks over the persistent
+//! worker pool. Tiling is a property of the executor, not of the program,
+//! so a batch needs no program of its own: the executor only ever indexes
+//! one stripe's own blocks.
 //!
 //! Programs are pure data (`Send + Sync + Clone`), so one compiled
 //! schedule can drive any number of stripes or threads.
 
 use crate::stripe::Stripe;
-use crate::xor::xor_gather_into;
+use crate::tile::fused_tile_bytes;
+use crate::xor::xor_tile;
 use dcode_core::decoder::RecoveryPlan;
 use dcode_core::grid::Grid;
 use dcode_core::layout::CodeLayout;
 use dcode_core::Fnv1a;
-use minipool::WorkerPool;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// A compiled XOR program: `ops[k]` writes block `targets[k]` with the XOR
@@ -41,8 +49,7 @@ pub struct XorProgram {
     level_off: Vec<u32>,
     /// FNV-1a over the grid shape and flat arrays, computed once at
     /// construction. Deterministic in the content, so the derived equality
-    /// stays consistent; used by the fused-program cache to key batches by
-    /// program identity without holding the originating layout.
+    /// stays consistent; optimizer certificates name programs by it.
     fingerprint: u64,
 }
 
@@ -97,8 +104,7 @@ impl XorProgram {
     /// [`RecoveryStep`](dcode_core::decoder::RecoveryStep). Steps are
     /// re-grouped into dependency levels (a step whose sources include an
     /// earlier step's target lands one level past its deepest producer),
-    /// so independent repairs replay concurrently under
-    /// [`XorProgram::run_parallel`] while sequential replay stays
+    /// matching the encode programs' shape, and replay stays
     /// byte-identical to [`crate::decode::apply_plan`].
     pub fn compile_plan(grid: Grid, plan: &RecoveryPlan) -> Self {
         // Depth of the producing step for each recovered cell; surviving
@@ -146,8 +152,8 @@ impl XorProgram {
 
     /// Content fingerprint (FNV-1a over the grid shape and flat arrays),
     /// computed at construction. Equal programs have equal fingerprints;
-    /// the [`ScheduleCache`](crate::cache::ScheduleCache) keys fused batch
-    /// programs by `(fingerprint, batch)`.
+    /// optimizer certificates record the fingerprints of the programs
+    /// they relate.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -218,8 +224,8 @@ impl XorProgram {
 
     /// Debug-build guard run by the compilers: every level must be
     /// hazard-free (no op reads or writes another same-level op's target)
-    /// and every index in range, i.e. exactly the property that makes
-    /// [`XorProgram::run_parallel`] safe. The full symbolic equivalence
+    /// and every index in range, i.e. a level's ops are independent and
+    /// could run in any order. The full symbolic equivalence
     /// proof lives in the `dcode-verify` crate; this cheap structural
     /// check catches level-grouping bugs at the moment a program is built.
     #[cfg(debug_assertions)]
@@ -304,123 +310,112 @@ impl XorProgram {
         self.sources.len()
     }
 
-    /// Replay the program over `stripe` sequentially.
+    /// Replay the program over `stripe`, tile-major, with the process's
+    /// calibrated tile size ([`fused_tile_bytes`]): for each tile-sized
+    /// byte range, every op runs over just that range before the range
+    /// advances, so each source block's tile is fetched while still
+    /// cache-resident from its first touch instead of once per equation
+    /// that reads it. Byte-identical to op-major replay: XOR is
+    /// elementwise, so byte `k` of a target depends only on byte `k` of its
+    /// sources, and running the whole (sequential) op list over one range
+    /// at a time preserves every data dependency. When one tile covers the
+    /// block, this is exactly one kernel call per op.
     pub fn run(&self, stripe: &mut Stripe) {
+        self.run_tiled(stripe, fused_tile_bytes());
+    }
+
+    /// Replay the program over every stripe of `stripes`. With one thread
+    /// or one stripe it runs inline; otherwise the stripes split into up
+    /// to `threads` contiguous chunks that run as jobs on the process-wide
+    /// [`minipool::global`] pool. `threads` is honored as given (capped at
+    /// the stripe count); callers that want to avoid oversubscribing the
+    /// host clamp with [`minipool::effective_parallelism`] first, as
+    /// [`encode_stripes`](crate::bulk::encode_stripes) does. Stripes may
+    /// differ in block size — each replays over its own blocks.
+    ///
+    /// Chunks move into their jobs by ownership: each stripe is swapped
+    /// for an allocation-free placeholder, so no block is copied.
+    ///
+    /// **Panic safety:** a panicking replay (a foreign-grid stripe, a
+    /// placeholder without storage) is caught *inside* its job so the job
+    /// still hands its chunk back; every chunk — encoded, partially
+    /// encoded, or untouched — is restored into `stripes` before the first
+    /// panic is re-raised. The slice never holds a placeholder after this
+    /// returns or unwinds.
+    pub fn run_batch(self: &Arc<Self>, stripes: &mut [Stripe], threads: usize) {
+        self.run_batch_tiled(stripes, threads, fused_tile_bytes());
+    }
+
+    /// [`XorProgram::run_batch`] with an explicit tile size, for the tile
+    /// sweeps in tests and benches. Production code goes through `run` and
+    /// `run_batch`, which use the calibrated tile.
+    #[doc(hidden)]
+    pub fn run_batch_tiled(self: &Arc<Self>, stripes: &mut [Stripe], threads: usize, tile: usize) {
+        let workers = threads.max(1).min(stripes.len());
+        if workers <= 1 {
+            for s in stripes.iter_mut() {
+                self.run_tiled(s, tile);
+            }
+            return;
+        }
+        let chunk = stripes.len().div_ceil(workers);
+        let jobs: Vec<_> = stripes
+            .chunks_mut(chunk)
+            .map(|part| {
+                let mut owned: Vec<Stripe> = part
+                    .iter_mut()
+                    .map(|s| std::mem::replace(s, Stripe::placeholder(s.grid(), s.block_size())))
+                    .collect();
+                let prog = Arc::clone(self);
+                move || {
+                    let panic = catch_unwind(AssertUnwindSafe(|| {
+                        for s in &mut owned {
+                            prog.run_tiled(s, tile);
+                        }
+                    }))
+                    .err();
+                    (owned, panic)
+                }
+            })
+            .collect();
+        let mut first_panic = None;
+        let mut slots = stripes.iter_mut();
+        for (owned, panic) in minipool::global().run(jobs) {
+            for stripe in owned {
+                *slots.next().expect("chunks cover the slice") = stripe;
+            }
+            first_panic = first_panic.or(panic);
+        }
+        if let Some(payload) = first_panic {
+            resume_unwind(payload);
+        }
+    }
+
+    /// The tile-major loop behind [`XorProgram::run`]: tile → op, ops in
+    /// program (hence level) order.
+    fn run_tiled(&self, stripe: &mut Stripe, tile: usize) {
         self.check(stripe);
-        for op in 0..self.targets.len() {
-            self.exec_op(op, stripe);
-        }
-    }
-
-    /// Replay the program with up to `threads` worker threads from the
-    /// process-wide [`minipool::global`] pool. Byte-identical to
-    /// [`XorProgram::run`]. Convenience wrapper over
-    /// [`XorProgram::run_pooled`] for programs not already held in an
-    /// `Arc`; it clones the program once per call, so steady-state callers
-    /// (the schedule cache, `encode_parallel`) hold `Arc<XorProgram>` and
-    /// call `run_pooled` directly.
-    pub fn run_parallel(&self, stripe: &mut Stripe, threads: usize) {
-        let threads = threads.max(1);
-        if threads == 1 {
-            return self.run(stripe);
-        }
-        let this = Arc::new(self.clone());
-        Self::run_pooled(&this, stripe, minipool::global(), threads);
-    }
-
-    /// Replay the program with up to `threads` workers of `pool`: within
-    /// each dependency level, target blocks are detached from the stripe
-    /// and ops fan out as jobs over the persistent pool, reading the
-    /// remaining blocks through a shared [`Arc`]. Byte-identical to
-    /// [`XorProgram::run`].
-    ///
-    /// No threads are spawned per call (the pool's workers are parked
-    /// between calls) and nothing per-op is allocated: the stripe's block
-    /// vector is moved — not copied — into an `Arc` for the duration of
-    /// the call, and every worker job proves it dropped its clone before
-    /// its result is received, so the storage moves back out without ever
-    /// being reallocated.
-    ///
-    /// `threads` is the requested fan-out and is honored as given (capped
-    /// at the level's op count); callers that want to avoid oversubscribing
-    /// the host clamp with [`minipool::effective_parallelism`] first, as
-    /// [`encode_parallel`](crate::encode::encode_parallel) does.
-    pub fn run_pooled(this: &Arc<Self>, stripe: &mut Stripe, pool: &WorkerPool, threads: usize) {
-        let threads = threads.max(1);
-        if threads == 1 {
-            return this.run(stripe);
-        }
-        this.check(stripe);
-        // Move the stripe's storage into an Arc once; workers share it
-        // read-only, and between levels (all clones provably dropped)
-        // `Arc::get_mut` hands back exclusive access for detach/reattach.
-        let mut storage: Arc<Vec<Box<[u8]>>> = Arc::new(stripe.take_storage());
-        for lv in 0..this.level_count() {
-            let (lo, hi) = (this.level_off[lv] as usize, this.level_off[lv + 1] as usize);
-            let n_ops = hi - lo;
-            let blocks = Arc::get_mut(&mut storage).expect("workers dropped their storage clones");
-            if n_ops <= 1 {
-                for op in lo..hi {
-                    let target = this.targets[op] as usize;
-                    let mut out = std::mem::take(&mut blocks[target]);
-                    this.gather_in(op, &mut out, blocks);
-                    blocks[target] = out;
-                }
-                continue;
+        let len = stripe.block_size();
+        let tile = tile.max(8);
+        let mut start = 0;
+        loop {
+            let end = (start + tile).min(len);
+            for (op, &target) in self.targets.iter().enumerate() {
+                let target = target as usize;
+                let mut out = stripe.take_block_at(target);
+                xor_tile(
+                    &mut out[start..end],
+                    self.op_sources(op),
+                    (start, end),
+                    &|i: u32| stripe.block_at(i as usize),
+                );
+                stripe.put_block_at(target, out);
             }
-            // Detach every target of this level, then fan chunks of
-            // (op, target block) out as owned jobs against the shared
-            // read-only storage.
-            let mut taken: Vec<(usize, Box<[u8]>)> = (lo..hi)
-                .map(|op| (op, std::mem::take(&mut blocks[this.targets[op] as usize])))
-                .collect();
-            let workers = threads.min(n_ops);
-            let chunk = n_ops.div_ceil(workers);
-            let mut jobs = Vec::with_capacity(workers);
-            while !taken.is_empty() {
-                let mut part: Vec<(usize, Box<[u8]>)> =
-                    taken.drain(..chunk.min(taken.len())).collect();
-                let prog = Arc::clone(this);
-                let store = Arc::clone(&storage);
-                jobs.push(move || {
-                    for (op, out) in &mut part {
-                        prog.gather_in(*op, out, &store);
-                    }
-                    part
-                });
+            if end >= len {
+                break;
             }
-            let done = pool.run(jobs);
-            let blocks = Arc::get_mut(&mut storage).expect("workers dropped their storage clones");
-            for part in done {
-                for (op, out) in part {
-                    let target = this.targets[op] as usize;
-                    debug_assert!(blocks[target].is_empty(), "target reattached twice");
-                    blocks[target] = out;
-                }
-            }
+            start = end;
         }
-        stripe.restore_storage(
-            Arc::try_unwrap(storage).expect("workers dropped their storage clones"),
-        );
-    }
-
-    fn exec_op(&self, op: usize, stripe: &mut Stripe) {
-        let target = self.targets[op] as usize;
-        let mut out = stripe.take_block_at(target);
-        self.gather(op, &mut out, stripe);
-        stripe.put_block_at(target, out);
-    }
-
-    fn gather(&self, op: usize, out: &mut [u8], stripe: &Stripe) {
-        let (lo, hi) = (self.src_off[op] as usize, self.src_off[op + 1] as usize);
-        xor_gather_into(out, &self.sources[lo..hi], |i| stripe.block_at(i as usize));
-    }
-
-    /// [`XorProgram::gather`] against a bare block vector (linear grid
-    /// index order) instead of a [`Stripe`] — the pooled executor's form.
-    fn gather_in(&self, op: usize, out: &mut [u8], blocks: &[Box<[u8]>]) {
-        let (lo, hi) = (self.src_off[op] as usize, self.src_off[op + 1] as usize);
-        xor_gather_into(out, &self.sources[lo..hi], |i| &*blocks[i as usize]);
     }
 
     fn check(&self, stripe: &Stripe) {
@@ -429,6 +424,7 @@ impl XorProgram {
             self.grid,
             "stripe shape does not match the compiled program"
         );
+        assert!(stripe.has_storage(), "stripe has no block storage attached");
     }
 }
 
@@ -500,6 +496,8 @@ mod tests {
     use crate::encode::{encode_naive, verify_parities};
     use dcode_baselines::registry::all_codes;
     use dcode_core::decoder::plan_column_recovery;
+    use dcode_core::layout::CodeLayout;
+    use std::panic::catch_unwind;
 
     fn payload(len: usize, seed: u64) -> Vec<u8> {
         let mut x = seed | 1;
@@ -511,6 +509,27 @@ mod tests {
                 (x >> 55) as u8
             })
             .collect()
+    }
+
+    fn batch_of(layout: &CodeLayout, bs: usize, n: usize) -> Vec<Stripe> {
+        (0..n)
+            .map(|k| {
+                Stripe::from_data(
+                    layout,
+                    bs,
+                    &payload(layout.data_len() * bs, (k as u64 + 1) * 77),
+                )
+            })
+            .collect()
+    }
+
+    /// The oracle: every stripe of `stripes` encoded by the interpreter.
+    fn naive_encoded(layout: &CodeLayout, stripes: &[Stripe]) -> Vec<Stripe> {
+        let mut out = stripes.to_vec();
+        for s in &mut out {
+            encode_naive(layout, s);
+        }
+        out
     }
 
     #[test]
@@ -530,17 +549,77 @@ mod tests {
     }
 
     #[test]
-    fn parallel_replay_matches_sequential() {
-        for layout in all_codes(7) {
-            let data = payload(layout.data_len() * 32, 99);
-            let mut seq = Stripe::from_data(&layout, 32, &data);
-            let program = XorProgram::compile_encode(&layout);
-            program.run(&mut seq);
-            for threads in [2usize, 3, 8] {
-                let mut par = Stripe::from_data(&layout, 32, &data);
-                program.run_parallel(&mut par, threads);
-                assert_eq!(par, seq, "{} threads={threads}", layout.name());
+    fn run_batch_matches_naive_for_every_code_and_fan_out() {
+        for p in [5usize, 7] {
+            for layout in all_codes(p) {
+                let program = Arc::new(XorProgram::compile_encode(&layout));
+                for batch in [1usize, 2, 3, 16] {
+                    let expect = naive_encoded(&layout, &batch_of(&layout, 48, batch));
+                    for threads in [1usize, 2, 3, 8] {
+                        let mut got = batch_of(&layout, 48, batch);
+                        program.run_batch(&mut got, threads);
+                        assert_eq!(
+                            got,
+                            expect,
+                            "{} p={p} batch={batch} threads={threads}",
+                            layout.name()
+                        );
+                    }
+                }
             }
+        }
+    }
+
+    #[test]
+    fn tile_size_never_changes_bytes() {
+        // Odd block sizes against tiles smaller, equal, and larger than the
+        // block, including non-multiples — the tile loop's boundary math.
+        let layout = dcode_core::dcode::dcode(7).unwrap();
+        let program = Arc::new(XorProgram::compile_encode(&layout));
+        let bs = 1037; // odd: wide groups + u64 + scalar tails all hit
+        let expect = naive_encoded(&layout, &batch_of(&layout, bs, 3));
+        for tile in [1usize, 8, 100, 1024, bs, 4096] {
+            for threads in [1usize, 2] {
+                let mut got = batch_of(&layout, bs, 3);
+                program.run_batch_tiled(&mut got, threads, tile);
+                assert_eq!(got, expect, "tile={tile} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_level_codes_respect_dependencies_across_tiles() {
+        // RDP's diagonal parity reads row parity (≥2 levels): tile-major
+        // execution must still feed level 1 the level-0 bytes of the same
+        // tile range, not stale ones.
+        let layout = dcode_baselines::rdp::rdp(11).unwrap();
+        let program = Arc::new(XorProgram::compile_encode(&layout));
+        assert!(program.level_count() >= 2);
+        let bs = 600; // several tiles per block at tile=128
+        let expect = naive_encoded(&layout, &batch_of(&layout, bs, 4));
+        for tile in [128usize, 200] {
+            let mut got = batch_of(&layout, bs, 4);
+            program.run_batch_tiled(&mut got, 2, tile);
+            assert_eq!(got, expect, "tile={tile}");
+        }
+    }
+
+    #[test]
+    fn heterogeneous_block_sizes_within_a_batch_still_encode() {
+        // The executor reads each stripe's own block size; a batch mixing
+        // sizes (as an object store's tail stripe can) must stay correct.
+        let layout = dcode_core::dcode::dcode(5).unwrap();
+        let program = Arc::new(XorProgram::compile_encode(&layout));
+        let batch = vec![
+            Stripe::from_data(&layout, 64, &payload(layout.data_len() * 64, 1)),
+            Stripe::from_data(&layout, 48, &payload(layout.data_len() * 48, 2)),
+            Stripe::from_data(&layout, 7, &payload(layout.data_len() * 7, 3)),
+        ];
+        let expect = naive_encoded(&layout, &batch);
+        for threads in [1usize, 2, 3] {
+            let mut got = batch.clone();
+            program.run_batch_tiled(&mut got, threads, 16);
+            assert_eq!(got, expect, "threads={threads}");
         }
     }
 
@@ -565,11 +644,34 @@ mod tests {
                     program.run(&mut compiled);
                     assert_eq!(compiled, naive, "{} cols=({c1},{c2})", layout.name());
                     assert_eq!(compiled, golden, "{} cols=({c1},{c2})", layout.name());
+                }
+            }
+        }
+    }
 
-                    let mut par = golden.clone();
-                    par.erase_columns(&[c1, c2]);
-                    program.run_parallel(&mut par, 4);
-                    assert_eq!(par, golden, "{} cols=({c1},{c2}) parallel", layout.name());
+    #[test]
+    fn column_recovery_programs_replay_through_run_batch() {
+        for p in [5usize, 7] {
+            for layout in all_codes(p) {
+                let cols = [0usize, 2];
+                let Ok(plan) = plan_column_recovery(&layout, &cols) else {
+                    continue;
+                };
+                let program = Arc::new(XorProgram::compile_plan(layout.grid(), &plan));
+                let golden = naive_encoded(&layout, &batch_of(&layout, 40, 6));
+                let mut expect = golden.clone();
+                for s in &mut expect {
+                    s.erase_columns(&cols);
+                    apply_plan_naive(s, &plan);
+                }
+                for (threads, tile) in [(1usize, 8usize), (4, 16), (4, 4096)] {
+                    let mut got = golden.clone();
+                    for s in &mut got {
+                        s.erase_columns(&cols);
+                    }
+                    program.run_batch_tiled(&mut got, threads, tile);
+                    assert_eq!(got, expect, "{} p={p} threads={threads}", layout.name());
+                    assert_eq!(got, golden, "{} p={p} full roundtrip", layout.name());
                 }
             }
         }
@@ -588,54 +690,60 @@ mod tests {
     }
 
     #[test]
-    fn parallel_replay_with_more_threads_than_ops() {
-        // A level with fewer ops than worker threads must still replay
-        // correctly (each worker gets a ≥1-op chunk; the surplus threads
-        // are simply never spawned).
-        for layout in all_codes(5) {
-            let data = payload(layout.data_len() * 16, 11);
-            let mut seq = Stripe::from_data(&layout, 16, &data);
-            let program = XorProgram::compile_encode(&layout);
-            program.run(&mut seq);
-            let max_level_ops = (0..program.level_count())
-                .map(|lv| program.level_ops(lv).len())
-                .max()
-                .unwrap();
-            for threads in [max_level_ops + 1, 64] {
-                let mut par = Stripe::from_data(&layout, 16, &data);
-                program.run_parallel(&mut par, threads);
-                assert_eq!(par, seq, "{} threads={threads}", layout.name());
+    fn panicking_chunk_restores_stripes_instead_of_placeholders() {
+        // A panic inside a pooled job must not leave the zero-length
+        // placeholders from the ownership swap in the caller's slice:
+        // every chunk comes back before the panic is re-raised.
+        let layout = dcode_core::dcode::dcode(7).unwrap();
+        let small = dcode_core::dcode::dcode(5).unwrap();
+        let program = Arc::new(XorProgram::compile_encode(&layout));
+        let mut stripes = batch_of(&layout, 16, 8);
+        let expect = naive_encoded(&layout, &stripes);
+        // Poison one stripe with a smaller code's shape: its replay panics
+        // on the shape check, mid-chunk.
+        let poison = 5;
+        stripes[poison] = Stripe::zeroed(&small, 16);
+
+        let caught = catch_unwind(AssertUnwindSafe(|| program.run_batch(&mut stripes, 4)));
+        assert!(caught.is_err(), "the poison stripe must panic the replay");
+
+        // Every healthy stripe was restored with its data intact — and
+        // since only one job panicked, the other chunks are fully encoded.
+        for (i, s) in stripes.iter().enumerate() {
+            if i == poison {
+                continue;
+            }
+            assert_eq!(
+                s.data_bytes(&layout),
+                expect[i].data_bytes(&layout),
+                "stripe {i} lost data across the unwind"
+            );
+            if i / 2 != poison / 2 {
+                assert_eq!(s, &expect[i], "stripe {i} not encoded");
             }
         }
+        // The poison stripe came back too (its own shape, storage present)
+        // — not a zero-length placeholder.
+        assert_eq!(stripes[poison].grid(), small.grid());
+        assert!(stripes[poison].has_storage());
+
+        // The pool is reusable after the unwind.
+        let mut again = batch_of(&layout, 16, 8);
+        program.run_batch(&mut again, 4);
+        assert_eq!(again, expect);
     }
 
     #[test]
-    fn pooled_replay_matches_sequential_on_a_dedicated_pool() {
-        // Exercises the pool machinery with real fan-out regardless of the
-        // host's core count (the pool honors the explicit thread request).
-        let pool = minipool::WorkerPool::with_workers(4);
-        for layout in all_codes(7) {
-            let data = payload(layout.data_len() * 32, 123);
-            let mut seq = Stripe::from_data(&layout, 32, &data);
-            let program = Arc::new(XorProgram::compile_encode(&layout));
-            program.run(&mut seq);
-            for threads in [2usize, 4, 64] {
-                let mut par = Stripe::from_data(&layout, 32, &data);
-                XorProgram::run_pooled(&program, &mut par, &pool, threads);
-                assert_eq!(par, seq, "{} threads={threads}", layout.name());
-            }
-        }
-        // The same pool replays recovery programs too.
-        let layout = dcode_core::dcode::dcode(7).unwrap();
-        let data = payload(layout.data_len() * 32, 5);
-        let mut golden = Stripe::from_data(&layout, 32, &data);
-        encode_naive(&layout, &mut golden);
-        let plan = plan_column_recovery(&layout, &[1, 4]).unwrap();
-        let program = Arc::new(XorProgram::compile_plan(layout.grid(), &plan));
-        let mut lost = golden.clone();
-        lost.erase_columns(&[1, 4]);
-        XorProgram::run_pooled(&program, &mut lost, &pool, 3);
-        assert_eq!(lost, golden);
+    fn placeholder_in_a_batch_panics_and_healthy_stripes_come_back() {
+        let layout = dcode_core::dcode::dcode(5).unwrap();
+        let program = Arc::new(XorProgram::compile_encode(&layout));
+        let mut stripes = batch_of(&layout, 8, 3);
+        let expect = naive_encoded(&layout, &stripes);
+        stripes.push(Stripe::placeholder(layout.grid(), 8));
+        let caught = catch_unwind(AssertUnwindSafe(|| program.run_batch(&mut stripes, 2)));
+        assert!(caught.is_err(), "placeholder replay must panic");
+        assert_eq!(&stripes[..3], &expect[..], "healthy stripes lost");
+        assert!(!stripes[3].has_storage());
     }
 
     #[test]

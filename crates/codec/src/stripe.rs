@@ -129,35 +129,16 @@ impl Stripe {
         self.blocks[index] = block;
     }
 
-    /// Detach the stripe's entire block vector, leaving it empty. The pooled
-    /// executor moves the storage into an `Arc` so `'static` worker jobs can
-    /// read source blocks, then puts it back with
-    /// [`Stripe::restore_storage`] — ownership round-trips, nothing is
-    /// copied or reallocated. A stripe with detached storage trips the
-    /// length asserts in every accessor rather than reading stale data.
-    pub(crate) fn take_storage(&mut self) -> Vec<Box<[u8]>> {
-        std::mem::take(&mut self.blocks)
-    }
-
-    /// Reinstall storage detached by [`Stripe::take_storage`].
-    pub(crate) fn restore_storage(&mut self, blocks: Vec<Box<[u8]>>) {
-        debug_assert!(self.blocks.is_empty(), "storage already present");
-        debug_assert_eq!(blocks.len(), self.grid.len());
-        self.blocks = blocks;
-    }
-
     /// Whether the stripe's block storage is attached (false for a
-    /// [`Stripe::placeholder`] or while [`Stripe::take_storage`] holds the
-    /// blocks). The bulk encoder's fused-path eligibility check uses this
-    /// instead of letting a detached stripe trip kernel length asserts
-    /// deep inside a worker job.
+    /// [`Stripe::placeholder`]). The executor checks this up front instead
+    /// of letting a detached stripe trip an index panic mid-replay.
     pub(crate) fn has_storage(&self) -> bool {
         self.blocks.len() == self.grid.len()
     }
 
     /// A shape-compatible stripe with zero-length storage — the
-    /// allocation-free placeholder `encode_stripes` swaps in while a
-    /// stripe's real storage is owned by a worker job.
+    /// allocation-free placeholder `XorProgram::run_batch` swaps in while
+    /// a stripe's real storage is owned by a worker job.
     pub(crate) fn placeholder(grid: Grid, block_size: usize) -> Self {
         Stripe {
             grid,

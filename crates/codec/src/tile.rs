@@ -1,13 +1,13 @@
-//! Runtime tile-size selection for the fused bulk executor.
+//! Runtime tile-size selection for the tile-major executor.
 //!
 //! [`TILE_BYTES`](crate::xor::TILE_BYTES) is a compile-time default tuned
-//! on one machine's L1d. The fused batch path keeps a whole stripe's
+//! on one machine's L1d. The tile-major executor keeps a whole stripe's
 //! working set (every block's current tile) resident at once, so its sweet
 //! spot depends on the host cache hierarchy and the stripe shape — the
 //! `xor_kernel` bench's tile sweep (EXPERIMENTS.md) shows a flat-topped
 //! curve across 4–32 KiB with cliffs on either side. Rather than bake in
 //! one point, [`fused_tile_bytes`] runs a **one-shot calibration probe**
-//! over that sweep's candidate set the first time a fused encode happens,
+//! over that sweep's candidate set the first time a program replays,
 //! caches the winner for the process lifetime, and honors a
 //! `DCODE_TILE_BYTES` environment override for benchmarking and for hosts
 //! where the probe's few milliseconds matter (the override is also how the
@@ -29,8 +29,9 @@ const PROBE_SOURCES: usize = 8;
 const PROBE_BLOCK: usize = 64 * 1024;
 const PROBE_REPS: u32 = 5;
 
-/// The tile size the fused bulk executor should use, decided once per
-/// process: the `DCODE_TILE_BYTES` override if set (clamped to ≥ 8),
+/// The tile size [`XorProgram::run`](crate::schedule::XorProgram::run)
+/// replays with, decided once per process: the `DCODE_TILE_BYTES`
+/// override if set (clamped to ≥ 8),
 /// otherwise the calibration probe's winner, otherwise the compile-time
 /// [`TILE_BYTES`] default (the probe cannot fail, but an override of `0`
 /// or garbage falls back rather than panicking a server).

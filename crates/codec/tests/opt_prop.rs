@@ -2,17 +2,18 @@
 //! went through the full pass pipeline must be *byte-identical* to the
 //! naive equation-by-equation oracles — `encode_naive` and
 //! `apply_plan_naive` — across registry codes, primes, odd block sizes,
-//! every 2-column erasure, and fused batch shapes. The symbolic
+//! every 2-column erasure, and batch shapes. The symbolic
 //! equivalence proofs live in `dcode-verify`; this file is the byte-level
 //! cross-check that the proofs talk about the same executor semantics.
 
 use dcode_baselines::registry::all_codes;
 use dcode_codec::opt::{optimize, OptConfig};
-use dcode_codec::{apply_plan_naive, encode_naive, FusedProgram, Stripe, XorProgram};
+use dcode_codec::{apply_plan_naive, encode_naive, Stripe, XorProgram};
 use dcode_core::decoder::plan_column_recovery;
 use dcode_core::layout::CodeLayout;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn payload(len: usize, seed: u64) -> Vec<u8> {
     (0..len)
@@ -94,22 +95,23 @@ proptest! {
         }
     }
 
-    /// Fusing the *optimized* encode at batch shapes {1, 3, 16} stays
-    /// byte-identical to the naive oracle on every stripe of the batch.
+    /// The *optimized* encode replayed over batch shapes {1, 3, 16} by
+    /// `run_batch` stays byte-identical to the naive oracle on every
+    /// stripe of the batch.
     #[test]
-    fn fused_optimized_encode_matches_naive_oracle(
+    fn batched_optimized_encode_matches_naive_oracle(
         p_idx in 0usize..4,
         code_idx in 0usize..16,
         batch_idx in 0usize..3,
         block_size in 1usize..64,
+        threads in 1usize..4,
         seed in any::<u64>(),
     ) {
         let p = [5usize, 7, 11, 13][p_idx];
         let batch = [1usize, 3, 16][batch_idx];
         let layout = pick_layout(p, code_idx);
         let program = XorProgram::compile_encode(&layout);
-        let opt = optimize(&program, None, &OptConfig::full());
-        let fused = FusedProgram::fuse(&opt.program, batch);
+        let opt = Arc::new(optimize(&program, None, &OptConfig::full()).program);
 
         let per = layout.data_len() * block_size;
         let mut stripes: Vec<Stripe> = (0..batch)
@@ -119,7 +121,7 @@ proptest! {
         for s in &mut expect {
             encode_naive(&layout, s);
         }
-        fused.run(&mut stripes);
+        opt.run_batch(&mut stripes, threads);
         prop_assert_eq!(&stripes, &expect, "{} p={p} batch={batch}", layout.name());
     }
 }

@@ -4,7 +4,7 @@
 use dcode_codec::xor::{
     xor_into, xor_into_from, xor_many_into, xor_many_into_tiled, xor_many_into_unrolled,
 };
-use dcode_codec::{encode, encode_parallel, encode_with_matrix, generator_matrix, Stripe};
+use dcode_codec::{encode, encode_stripes, encode_with_matrix, generator_matrix, Stripe};
 use proptest::prelude::*;
 
 /// Scalar reference: fold all sources into a fresh buffer, byte by byte.
@@ -150,11 +150,13 @@ proptest! {
         let base = Stripe::from_data(&layout, block, &payload);
         let mut a = base.clone();
         encode(&layout, &mut a);
-        let mut b = base.clone();
-        encode_parallel(&layout, &mut b, 3);
+        let mut batch = vec![base.clone(), base.clone(), base.clone()];
+        encode_stripes(&layout, &mut batch, 3);
         let mut c = base.clone();
         encode_with_matrix(&layout, &generator_matrix(&layout), &mut c);
-        prop_assert_eq!(&a, &b);
+        for b in &batch {
+            prop_assert_eq!(&a, b);
+        }
         prop_assert_eq!(&a, &c);
     }
 }

@@ -9,6 +9,7 @@ use dcode_codec::{apply_plan_naive, encode_naive, verify_parities, Stripe};
 use dcode_core::decoder::plan_column_recovery;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn payload(len: usize, seed: u64) -> Vec<u8> {
     let mut x = seed | 1;
@@ -25,8 +26,8 @@ fn payload(len: usize, seed: u64) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Compiled encode (sequential and parallel) equals the naive
-    /// interpreter for every code in the registry.
+    /// Compiled encode (one stripe, and a batch over several workers)
+    /// equals the naive interpreter for every code in the registry.
     #[test]
     fn compiled_encode_matches_naive(p in prop::sample::select(vec![5usize, 7, 11, 13]),
                                      block in 1usize..40,
@@ -45,9 +46,12 @@ proptest! {
             prop_assert_eq!(&compiled, &naive, "{} p={} block={}", layout.name(), p, block);
             prop_assert!(verify_parities(&layout, &compiled));
 
-            let mut parallel = base.clone();
-            program.run_parallel(&mut parallel, threads);
-            prop_assert_eq!(&parallel, &naive, "{} p={} threads={}", layout.name(), p, threads);
+            let program = Arc::new(program);
+            let mut batch = vec![base.clone(); threads + 1];
+            program.run_batch(&mut batch, threads);
+            for got in &batch {
+                prop_assert_eq!(got, &naive, "{} p={} threads={}", layout.name(), p, threads);
+            }
         }
     }
 

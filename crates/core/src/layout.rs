@@ -185,7 +185,7 @@ impl CodeLayout {
     /// `k+1` or later, so all equations within one level are mutually
     /// independent and may be evaluated concurrently. Level order is a
     /// valid encode order; this is the grouping the codec's schedule
-    /// compiler and parallel encoder build their programs from.
+    /// compiler builds its programs from.
     pub fn dependency_levels(&self) -> Vec<Vec<usize>> {
         let n_eq = self.equations.len();
         let mut level = vec![0usize; n_eq];
@@ -522,6 +522,38 @@ mod tests {
         let pos0 = order.iter().position(|&i| i == 0).unwrap();
         let pos1 = order.iter().position(|&i| i == 1).unwrap();
         assert!(pos0 < pos1);
+    }
+
+    #[test]
+    fn dependency_levels_follow_a_parity_cascade() {
+        // eq1 reads eq0's parity, so it needs a second level.
+        let mut b = LayoutBuilder::new("cascade", 3, 2, 3);
+        b.equation(
+            EquationKind::Row,
+            Cell::new(0, 2),
+            vec![Cell::new(0, 0), Cell::new(0, 1)],
+        );
+        b.equation(
+            EquationKind::Diagonal,
+            Cell::new(1, 2),
+            vec![Cell::new(1, 0), Cell::new(1, 1), Cell::new(0, 2)],
+        );
+        assert_eq!(
+            b.build().unwrap().dependency_levels(),
+            vec![vec![0], vec![1]]
+        );
+        // Independent row parities share one level.
+        assert_eq!(toy().dependency_levels(), vec![vec![0, 1]]);
+    }
+
+    #[test]
+    fn dcode_parities_are_one_dependency_level() {
+        // D-Code's parities read only data elements: a single level that
+        // holds every equation.
+        let d = crate::dcode::dcode(7).unwrap();
+        let levels = d.dependency_levels();
+        assert_eq!(levels.len(), 1);
+        assert_eq!(levels[0].len(), d.equations().len());
     }
 
     #[test]

@@ -40,31 +40,6 @@ pub enum DiagKind {
         /// Data-symbol indices the program actually left there.
         actual: Vec<usize>,
     },
-    /// Fused equivalence: after symbolic replay of a fused batch program,
-    /// `stripe`'s block `cell` holds the wrong GF(2) combination over the
-    /// batch-widened symbol space.
-    FusedWrongSymbols {
-        /// The stripe within the batch.
-        stripe: usize,
-        /// The block whose final value is wrong.
-        cell: Cell,
-        /// Batch-widened symbol indices the layout requires.
-        expected: Vec<usize>,
-        /// Batch-widened symbol indices the program actually left there.
-        actual: Vec<usize>,
-    },
-    /// Fused structural: an op in one stripe's segment of a level touches
-    /// a virtual block outside that stripe's range — cross-stripe
-    /// contamination, which would make the tile-major per-stripe replay
-    /// diverge from sequential replay.
-    CrossStripe {
-        /// The offending op (flat index into the fused program).
-        op: usize,
-        /// The stripe the op's level position assigns it to.
-        stripe: usize,
-        /// The out-of-stripe virtual block index it touches.
-        block: usize,
-    },
     /// Structural: an op's target or source index lies outside the grid.
     OutOfRange {
         /// The offending op.
@@ -84,7 +59,8 @@ pub enum DiagKind {
         block: usize,
     },
     /// Race: an op reads a block that another op of the *same* level
-    /// writes, so `run_parallel`'s outcome would depend on scheduling.
+    /// writes, so the level's ops are not independent: their outcome
+    /// would depend on the order they run in.
     ReadWriteHazard {
         /// The dependency level.
         level: usize,
@@ -291,21 +267,6 @@ impl fmt::Display for Diagnostic {
                 "block {cell} ends as {} but the layout requires {}",
                 symbol_list(actual),
                 symbol_list(expected)
-            ),
-            DiagKind::FusedWrongSymbols {
-                stripe,
-                cell,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "stripe {stripe} block {cell} ends as {} but the layout requires {}",
-                symbol_list(actual),
-                symbol_list(expected)
-            ),
-            DiagKind::CrossStripe { op, stripe, block } => write!(
-                f,
-                "op {op} belongs to stripe {stripe} but touches virtual block {block} of another stripe"
             ),
             DiagKind::OutOfRange { op, block } => {
                 write!(f, "op {op} references block {block} outside the grid")

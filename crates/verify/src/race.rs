@@ -1,17 +1,18 @@
 //! Static race checking for dependency levels.
 //!
-//! [`XorProgram::run_parallel`] detaches every target of a level and lets
-//! worker threads compute them concurrently against the rest of the stripe
-//! read-only. That is data-race-free under exactly two conditions, both
-//! decidable from the program text alone:
+//! A program's dependency levels claim that the ops of one level are
+//! mutually independent: they could run in any order, or at once, with the
+//! same result. The optimizer's level repacking and the analyzer's
+//! critical-path and speedup bounds both build on that claim. It holds
+//! under exactly two conditions, both decidable from the program text
+//! alone:
 //!
 //! 1. no two ops of one level write the same block (write/write), and
 //! 2. no op reads a block another op of the same level writes
-//!    (read/write — with detachment this is not just a race but a read of
-//!    an empty placeholder, which panics).
+//!    (read/write).
 //!
-//! [`check_levels`] proves both, plus index bounds, making parallel replay
-//! safe *by construction* for any program that passes.
+//! [`check_levels`] proves both, plus index bounds, for any program that
+//! passes.
 
 use crate::diag::{DiagKind, Diagnostic};
 use dcode_codec::XorProgram;
